@@ -5,7 +5,7 @@ VLDB 2016).
 Public API highlights:
 
 * :class:`~repro.api.session.ComICSession` and the :mod:`repro.api` query
-  layer — the unified entry point for all four optimisation workloads,
+  layer — the single entry point for all four optimisation workloads,
   with cross-query RR-set pool reuse;
 * :mod:`repro.store` — persistent, validated on-disk pool snapshots for
   cross-process warm starts — and :mod:`repro.parallel` — multiprocess
@@ -13,9 +13,6 @@ Public API highlights:
 * :class:`~repro.graph.DiGraph` and the :mod:`repro.graph` substrate;
 * :class:`~repro.models.GAP` and :func:`~repro.models.simulate` — the
   Com-IC model;
-* :func:`~repro.algorithms.solve_selfinfmax` /
-  :func:`~repro.algorithms.solve_compinfmax` — deprecated one-shot shims
-  over the session API;
 * :mod:`repro.learning` — GAP estimation from action logs;
 * :mod:`repro.datasets` / :mod:`repro.experiments` — the evaluation
   harness regenerating every table and figure of §7.
@@ -43,7 +40,6 @@ from repro.models import (
     estimate_spread,
     simulate,
 )
-from repro.algorithms import solve_compinfmax, solve_selfinfmax
 from repro.api import (
     BlockingQuery,
     ComICSession,
@@ -55,7 +51,7 @@ from repro.api import (
 )
 from repro.rrset import TIMOptions, general_tim
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ComICSession",
@@ -72,8 +68,6 @@ __all__ = [
     "DiffusionOutcome",
     "estimate_spread",
     "estimate_boost",
-    "solve_selfinfmax",
-    "solve_compinfmax",
     "general_tim",
     "TIMOptions",
     "ReproError",

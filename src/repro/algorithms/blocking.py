@@ -8,29 +8,20 @@ quantity — how much a B-seed set suppresses A's spread —
 
 is the objective of influence *blocking* maximization ([5, 13]), framed
 there through cross-submodularity of the decrease.  The paper leaves the
-problem out of scope; this module implements the objective and a CELF
-greedy blocker so the appendix discussion is executable (no approximation
-guarantee is claimed — the appendix's Example 5 shows per-world
-submodularity can fail in Q-).  Under one-way competition the query
-layer additionally answers :class:`~repro.api.queries.BlockingQuery`
-with pooled RR-Block suppression sets (:mod:`repro.rrset.rr_block`),
-orders of magnitude faster than the MC CELF path; the estimator here
-remains the Monte-Carlo ground truth both routes are checked against.
-
-.. deprecated::
-    :func:`greedy_blocking` is a thin shim over the declarative query API
-    (:class:`~repro.api.queries.BlockingQuery` run on a
-    :class:`~repro.api.session.ComICSession`); the CELF core lives in
-    :mod:`repro.api.solvers`.  :func:`estimate_suppression` remains the
-    canonical objective estimator.
+problem out of scope; this module implements the objective so the
+appendix discussion is executable.  :class:`~repro.api.queries.BlockingQuery`
+on a :class:`~repro.api.session.ComICSession` answers the problem itself:
+a CELF greedy over this estimator (no approximation guarantee is claimed
+— the appendix's Example 5 shows per-world submodularity can fail in Q-)
+or, under one-way competition, pooled RR-Block suppression sets
+(:mod:`repro.rrset.rr_block`), orders of magnitude faster.  The estimator
+here remains the Monte-Carlo ground truth both routes are checked against.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
-from repro.errors import SeedSetError
 from repro.graph.digraph import DiGraph
 from repro.models.comic import simulate
 from repro.models.gaps import GAP
@@ -74,40 +65,3 @@ def estimate_suppression(
         values[i] = without_b.num_a_adopted - with_b.num_a_adopted
     return _summarize(values)
 
-
-def greedy_blocking(
-    graph: DiGraph,
-    gaps: GAP,
-    seeds_a: Sequence[int],
-    k: int,
-    *,
-    runs: int = 200,
-    rng: SeedLike = None,
-    candidates: Optional[Iterable[int]] = None,
-) -> list[int]:
-    """CELF greedy for influence blocking (deprecated one-shot entry point).
-
-    Requires mutual competition (the objective can be negative otherwise).
-    The greedy is a heuristic here — see the module docstring.  Delegates
-    to a throwaway :class:`~repro.api.session.ComICSession`.
-    """
-    warnings.warn(
-        "greedy_blocking() is deprecated; use "
-        "ComICSession.run(BlockingQuery(...)) from repro.api instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if k < 0:
-        raise SeedSetError(f"k must be non-negative, got {k}")
-    from repro.api import BlockingQuery, ComICSession
-
-    session = ComICSession(graph, gaps, rng=rng)
-    query = BlockingQuery(
-        seeds_a=tuple(int(s) for s in seeds_a),
-        k=k,
-        runs=runs,
-        candidates=(
-            tuple(int(v) for v in candidates) if candidates is not None else None
-        ),
-    )
-    return session.run(query).seeds

@@ -1,54 +1,21 @@
-"""CompInfMax solver (Problem 2): GeneralTIM + RR-CIM + Sandwich.
+"""Theorem 2's provably-optimal CompInfMax special case.
 
-Given a fixed A-seed set and mutually complementary GAPs, find ``k``
-B-seeds maximising the boost ``sigma_A(S_A, S_B) - sigma_A(S_A, ∅)``:
-
-* when ``q_{B|A} = 1`` the boost is monotone and cross-submodular
-  (Theorems 3, 5) and one GeneralTIM run over RR-CIM carries the guarantee
-  (Theorem 8);
-* otherwise the solver applies the one-sided Sandwich Approximation of
-  §6.4: the upper bound ``nu`` raises ``q_{B|A}`` to 1 (Theorem 10), its
-  seed set — plus optionally an MC-greedy candidate on the true boost —
-  is evaluated under the unmodified GAPs and the best candidate wins.
-
-:func:`theorem2_optimal_b_seeds` implements the provably-optimal special
-case of Theorem 2 (``q_{B|∅} = 1`` and ``k >= |S_A|``): copy the A-seeds
-and pad arbitrarily.
-
-.. deprecated::
-    :func:`solve_compinfmax` is a thin shim over the declarative query
-    API — construct a :class:`~repro.api.session.ComICSession` and run a
-    :class:`~repro.api.queries.CompInfMaxQuery` instead.  The solver core
-    lives in :mod:`repro.api.solvers`.
+When ``q_{B|∅} = 1`` and ``k >= |S_A|`` copying the A-seeds into the
+B-seed set (padded arbitrarily) maximises the boost (Theorem 2), so no
+RR-set machinery is needed.  The general problem — GeneralTIM over
+RR-CIM, with one-sided Sandwich Approximation when ``q_{B|A} < 1`` — is
+answered by :class:`~repro.api.queries.CompInfMaxQuery` on a
+:class:`~repro.api.session.ComICSession` (core in
+:mod:`repro.api.solvers`).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import SeedSetError
 from repro.graph.digraph import DiGraph
-from repro.models.gaps import GAP
 from repro.rng import SeedLike, make_rng
-from repro.rrset.engines import ENGINES, SelectionResult
-from repro.rrset.imm import IMMOptions
-from repro.rrset.tim import TIMOptions
-from repro.algorithms.sandwich import SandwichResult
-
-
-@dataclass
-class CompInfMaxResult:
-    """Solution of one CompInfMax instance."""
-
-    seeds: list[int]
-    #: "submodular" (single TIM/IMM run), "sandwich", or "theorem2".
-    method: str
-    tim_results: dict[str, SelectionResult] = field(default_factory=dict)
-    sandwich: Optional[SandwichResult] = None
-    #: MC estimate of the boost at the returned seeds (sandwich path only).
-    estimated_boost: Optional[float] = None
 
 
 def theorem2_optimal_b_seeds(
@@ -77,67 +44,3 @@ def theorem2_optimal_b_seeds(
         picked = gen.choice(len(remaining), size=extra, replace=False)
         chosen.extend(remaining[int(i)] for i in picked)
     return chosen
-
-
-def solve_compinfmax(
-    graph: DiGraph,
-    gaps: GAP,
-    seeds_a: Sequence[int],
-    k: int,
-    *,
-    options: Optional[TIMOptions] = None,
-    rng: SeedLike = None,
-    evaluation_runs: int = 200,
-    include_greedy_candidate: bool = False,
-    greedy_runs: int = 50,
-    engine: str = "tim",
-    imm_options: Optional[IMMOptions] = None,
-) -> CompInfMaxResult:
-    """Solve one CompInfMax instance (deprecated one-shot entry point).
-
-    Delegates to a throwaway :class:`~repro.api.session.ComICSession`;
-    prefer the session API directly when issuing more than one query over
-    the same network.
-    """
-    warnings.warn(
-        "solve_compinfmax() is deprecated; use "
-        "ComICSession.run(CompInfMaxQuery(...)) from repro.api instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Legacy error contract: invalid k / engine raised SeedSetError /
-    # ValueError, not the query API's QueryError.
-    if k < 0:
-        raise SeedSetError(f"k must be non-negative, got {k}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    from repro.api import ComICSession, CompInfMaxQuery, EngineConfig
-
-    session = ComICSession(
-        graph,
-        gaps,
-        config=EngineConfig.from_tim_options(
-            options, engine=engine, imm_options=imm_options
-        ),
-        rng=rng,
-    )
-    # The submodular path (q_B|A = 1) never touches the MC knobs; legacy
-    # accepted degenerate values there, so clamp only in that case.  On the
-    # sandwich path a degenerate value always errored and still does.
-    mc_unused = gaps.q_b_given_a == 1.0
-    query = CompInfMaxQuery(
-        seeds_a=tuple(int(s) for s in seeds_a),
-        k=k,
-        evaluation_runs=(
-            max(evaluation_runs, 1) if mc_unused else evaluation_runs
-        ),
-        include_greedy_candidate=include_greedy_candidate,
-        # greedy_runs is consumed only when the greedy candidate actually
-        # runs (sandwich path AND include_greedy_candidate).
-        greedy_runs=(
-            greedy_runs
-            if not mc_unused and include_greedy_candidate
-            else max(greedy_runs, 1)
-        ),
-    )
-    return session.run(query).raw

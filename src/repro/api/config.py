@@ -1,8 +1,8 @@
 """Unified engine configuration for the query API.
 
 :class:`EngineConfig` is the single knob object of :mod:`repro.api`: it
-replaces the ad-hoc ``(engine, TIMOptions, IMMOptions)`` triple the old
-solver entry points threaded through every call.  One frozen,
+replaces the ad-hoc ``(engine, TIMOptions, IMMOptions)`` triple that
+solver calls once threaded through every call.  One frozen,
 JSON-round-trippable record fixes the seed-selection engine (``"tim"`` or
 ``"imm"``) and the shared accuracy/budget knobs; :meth:`tim_options` and
 :meth:`imm_options` project it onto the engine-specific option dataclasses
@@ -174,40 +174,14 @@ class EngineConfig:
         )
 
     @classmethod
-    def from_tim_options(
-        cls,
-        options: Optional[TIMOptions] = None,
-        *,
-        engine: str = "tim",
-        imm_options: Optional[IMMOptions] = None,
-    ) -> "EngineConfig":
-        """Lift the legacy knob triple into one config (shim helper).
-
-        Mirrors the old dispatch rule: explicit ``imm_options`` win for
-        ``engine="imm"``, otherwise IMM inherits the TIM knobs.
-        """
-        if options is None:
-            options = TIMOptions()
-        if engine == "imm" and imm_options is not None:
-            return cls(
-                engine=engine,
-                epsilon=imm_options.epsilon,
-                ell=imm_options.ell,
-                max_rr_sets=imm_options.max_rr_sets,
-                min_rr_sets=imm_options.min_rr_sets,
-            )
+    def from_tim_options(cls, options: TIMOptions) -> "EngineConfig":
+        """A TIM-engine config carrying ``options``' knobs (theta pin included)."""
         return cls(
-            engine=engine,
             epsilon=options.epsilon,
             ell=options.ell,
             max_rr_sets=options.max_rr_sets,
             min_rr_sets=options.min_rr_sets,
-            # IMM has no theta pin; legacy callers passing TIM options with
-            # theta_override to engine="imm" always had it dropped silently,
-            # and the shims must keep accepting that combination.
-            theta_override=(
-                options.theta_override if engine != "imm" else None
-            ),
+            theta_override=options.theta_override,
         )
 
     # ------------------------------------------------------------------

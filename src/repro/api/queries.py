@@ -151,8 +151,7 @@ class SelfInfMaxQuery(_QueryBase):
 
     ``gaps=None`` uses the session's GAPs.  ``use_rr_sim_plus`` selects
     RR-SIM+ over RR-SIM; ``evaluation_runs`` / ``include_greedy_candidate``
-    / ``greedy_runs`` configure the Sandwich comparison exactly as the old
-    ``solve_selfinfmax`` keywords did.
+    / ``greedy_runs`` configure the Sandwich comparison (§6.4).
     """
 
     objective = "selfinfmax"

@@ -6,7 +6,7 @@ the selected seeds, the objective estimate, which method actually ran
 (including fallback provenance, e.g. ``"sandwich"`` when submodularity
 fails), and a diagnostics dict with pool sizes/bytes, theta, RR-sets
 sampled, and wall-clock timings.  The underlying solver-specific result
-(:class:`~repro.algorithms.selfinfmax.SelfInfMaxResult`, …) rides along in
+(:class:`SelfInfMaxResult`, :class:`CompInfMaxResult`, …) rides along in
 ``raw`` for callers that need the full detail.
 """
 
@@ -14,6 +14,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from repro.algorithms.sandwich import SandwichResult
+from repro.rrset.engines import SelectionResult
+
+
+@dataclass
+class SelfInfMaxResult:
+    """Solver detail of one SelfInfMax query (``InfluenceResult.raw``)."""
+
+    seeds: list[int]
+    #: "submodular" (single TIM/IMM run) or "sandwich".
+    method: str
+    tim_results: dict[str, SelectionResult] = field(default_factory=dict)
+    sandwich: Optional[SandwichResult] = None
+    #: MC estimate of sigma_A at the returned seeds (sandwich path only).
+    estimated_spread: Optional[float] = None
+
+
+@dataclass
+class CompInfMaxResult:
+    """Solver detail of one CompInfMax query (``InfluenceResult.raw``)."""
+
+    seeds: list[int]
+    #: "submodular" (single TIM/IMM run) or "sandwich".
+    method: str
+    tim_results: dict[str, SelectionResult] = field(default_factory=dict)
+    sandwich: Optional[SandwichResult] = None
+    #: MC estimate of the boost at the returned seeds (sandwich path only).
+    estimated_boost: Optional[float] = None
 
 
 @dataclass

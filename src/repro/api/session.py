@@ -291,8 +291,8 @@ class ComICSession:
             )
         if config is not None and not isinstance(config, EngineConfig):
             raise QueryError(
-                "config must be an EngineConfig (legacy TIMOptions/IMMOptions "
-                f"lift via EngineConfig.from_tim_options), got "
+                "config must be an EngineConfig (lift TIMOptions via "
+                f"EngineConfig.from_tim_options), got "
                 f"{type(config).__name__}"
             )
         if store is None or isinstance(store, PoolStore):

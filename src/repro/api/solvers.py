@@ -8,10 +8,7 @@ it, while blocking and the focal multi-item path take it when their
 query's ``method`` and GAP regime allow (``"rr-block"`` suppression sets,
 or the focal problem's reduction to SelfInfMax with the other item's
 seeds as context) and otherwise run the Monte-Carlo CELF / round-robin
-greedy directly.  The legacy public functions in :mod:`repro.algorithms`
-are deprecation shims that build a throwaway session and call these
-handlers via the registry, so old and new entry points share one
-implementation.
+greedy directly.  The session, via the registry, is their only caller.
 
 Every handler fills one *diagnostics envelope* so downstream reporting
 can consume results of different workloads uniformly: ``regime`` (the RR
@@ -39,7 +36,7 @@ from repro.api.queries import (
     SelfInfMaxQuery,
 )
 from repro.api.registry import MC_ENGINE
-from repro.api.results import InfluenceResult
+from repro.api.results import CompInfMaxResult, InfluenceResult, SelfInfMaxResult
 from repro.errors import RegimeError, SeedSetError
 from repro.models.gaps import GAP
 from repro.models.multi_item import estimate_multi_item_spread
@@ -57,8 +54,6 @@ def run_selfinfmax(
     rng: np.random.Generator,
 ) -> InfluenceResult:
     """SelfInfMax: single submodular run or Sandwich Approximation (§6.4)."""
-    from repro.algorithms.selfinfmax import SelfInfMaxResult
-
     gaps = session.resolve_gaps(query.gaps)
     if not gaps.is_mutually_complementary:
         raise RegimeError(
@@ -130,8 +125,6 @@ def run_compinfmax(
     rng: np.random.Generator,
 ) -> InfluenceResult:
     """CompInfMax: RR-CIM run, one-sided Sandwich when ``q_B|A < 1``."""
-    from repro.algorithms.compinfmax import CompInfMaxResult
-
     gaps = session.resolve_gaps(query.gaps)
     if not gaps.is_mutually_complementary:
         raise RegimeError(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -56,12 +57,19 @@ def read_snap_edges(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
     Lines are whitespace-separated ``src dst`` pairs (extra columns are
     ignored — some SNAP dumps carry timestamps); ``#`` comment lines and
     blank lines are skipped.  Ids are returned exactly as written — no
-    relabelling, deduplication, or range checks happen here.
+    relabelling, deduplication, or range checks happen here.  An empty
+    file (or one of comments only) yields two empty arrays.
     """
     try:
-        data = np.loadtxt(
-            path, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2
-        )
+        with warnings.catch_warnings():
+            # Empty input is a documented outcome, not a fault.
+            warnings.filterwarnings(
+                "ignore", message="loadtxt: input contained no data",
+                category=UserWarning,
+            )
+            data = np.loadtxt(
+                path, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2
+            )
     except ValueError as exc:
         raise ExperimentError(f"malformed edge list {path}: {exc}") from exc
     if data.size == 0:

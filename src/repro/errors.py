@@ -7,6 +7,8 @@ system (graphs, models, algorithms, learning, experiments).
 
 from __future__ import annotations
 
+from repro.invalidation import InvalidationReason
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
@@ -137,26 +139,11 @@ class StoreIntegrityError(StoreError):
     forgiving :meth:`~repro.store.PoolStore.load` entry point catches it
     and reports a miss (counting an invalidation) instead.
 
-    ``reason`` carries the typed
+    ``reason`` (required) carries the typed
     :class:`~repro.invalidation.InvalidationReason` so reason accounting
-    never has to parse the message; omitted (legacy raise sites), it is
-    inferred from the message text by the deprecation shim.
+    never has to parse the message.
     """
 
-    def __init__(self, message: str, *, reason=None) -> None:
+    def __init__(self, message: str, *, reason: InvalidationReason) -> None:
         super().__init__(message)
-        if reason is None:
-            import warnings
-
-            from repro.invalidation import coerce_reason
-
-            with warnings.catch_warnings():
-                # Inference from message text is the shim's own job here,
-                # not a caller mistake — keep it quiet.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                reason = coerce_reason(message)
-        else:
-            from repro.invalidation import coerce_reason
-
-            reason = coerce_reason(reason)
-        self.reason = reason
+        self.reason = InvalidationReason(reason)

@@ -8,20 +8,15 @@ counted ``store_invalidations`` with no reason at all, and
 hand.  :class:`InvalidationReason` is the one enum all of them now speak —
 ``(str, Enum)``, so members JSON-serialise as their string value and
 compare equal to it, which keeps every existing ``reason == "..."``
-consumer working.
-
-:func:`coerce_reason` is the deprecation shim: it accepts an enum member,
-a canonical value string, or one of the legacy free-form strings the old
-layers emitted (matched by their stable substrings), mapping the latter to
-the right member with a :class:`DeprecationWarning`.
+consumer working.  Every raise site names its member explicitly; nothing
+infers a reason from message text.
 """
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
 
-__all__ = ["InvalidationReason", "coerce_reason"]
+__all__ = ["InvalidationReason"]
 
 
 class InvalidationReason(str, Enum):
@@ -46,55 +41,3 @@ class InvalidationReason(str, Enum):
     def __str__(self) -> str:  # "fingerprint_mismatch", not the repr
         return self.value
 
-
-#: stable substrings of the legacy free-form reason strings, in match
-#: order (first hit wins; more specific patterns come first).
-_LEGACY_PATTERNS: tuple[tuple[str, InvalidationReason], ...] = (
-    ("different graph", InvalidationReason.FINGERPRINT_MISMATCH),
-    ("fingerprint", InvalidationReason.FINGERPRINT_MISMATCH),
-    ("does not match requested", InvalidationReason.KEY_MISMATCH),
-    ("format_version", InvalidationReason.FORMAT_VERSION),
-    ("CRC-32", InvalidationReason.CORRUPT_COLUMNS),
-    ("manifest says", InvalidationReason.CORRUPT_COLUMNS),
-    ("column file", InvalidationReason.CORRUPT_COLUMNS),
-    ("column dtypes", InvalidationReason.CORRUPT_COLUMNS),
-    ("touch", InvalidationReason.TOUCH_ABSENT),
-    ("churn", InvalidationReason.DELTA_CHURN),
-    ("manifest", InvalidationReason.MALFORMED_MANIFEST),
-)
-
-
-def coerce_reason(value) -> InvalidationReason:
-    """Normalise ``value`` into an :class:`InvalidationReason`.
-
-    Enum members and canonical value strings pass through silently.  A
-    legacy free-form string (the exception text the pre-enum layers used
-    as the reason) is mapped to the member whose stable substring it
-    carries, with a :class:`DeprecationWarning` — and anything totally
-    unrecognisable degrades to :attr:`InvalidationReason.MALFORMED_MANIFEST`
-    rather than raising, because reason accounting must never break the
-    recovery path it describes.
-    """
-    if isinstance(value, InvalidationReason):
-        return value
-    text = str(value)
-    try:
-        return InvalidationReason(text)
-    except ValueError:
-        pass
-    for pattern, reason in _LEGACY_PATTERNS:
-        if pattern in text:
-            warnings.warn(
-                f"free-form invalidation reason {text!r} is deprecated; "
-                f"pass InvalidationReason.{reason.name} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return reason
-    warnings.warn(
-        f"unrecognised invalidation reason {text!r}; recording it as "
-        f"{InvalidationReason.MALFORMED_MANIFEST.value!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return InvalidationReason.MALFORMED_MANIFEST

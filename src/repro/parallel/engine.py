@@ -619,16 +619,25 @@ class ParallelEngine(RRSetGenerator):
                 attempts[i] += 1
                 spec = faults.fire("parallel.shard")
                 directive = (spec.kind, spec.delay_s) if spec is not None else None
-                futures[i] = executor.submit(
-                    _generate_shard,
-                    (
-                        counts[i],
-                        root_parts[i],
-                        children[i],
-                        directive,
-                        self._task_payload(),
-                    ),
-                )
+                try:
+                    futures[i] = executor.submit(
+                        _generate_shard,
+                        (
+                            counts[i],
+                            root_parts[i],
+                            children[i],
+                            directive,
+                            self._task_payload(),
+                        ),
+                    )
+                except (BrokenProcessPool, OSError) as exc:
+                    # A worker died while later shards were still being
+                    # dispatched (spawning a replacement can then hit the
+                    # pool's closed call queue): a failed round like any
+                    # other broken pool.
+                    futures[i] = Future()
+                    futures[i].set_exception(BrokenProcessPool(str(exc)))
+                    break
             if self._collect(futures, results):
                 retry_round += 1  # a failure round: back off, then retry
 

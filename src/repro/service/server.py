@@ -106,7 +106,12 @@ class ServiceError(ReproError):
 
 @dataclass
 class ServerStats:
-    """Service-level counters (sessions keep their own ``SessionStats``)."""
+    """Service-level counters (sessions keep their own ``SessionStats``).
+
+    Handler threads update these concurrently, so every update goes
+    through :meth:`bump` and :meth:`as_dict` snapshots under the same
+    lock; a bare ``+=`` could lose increments.
+    """
 
     #: HTTP requests accepted (all endpoints, all statuses).
     requests: int = 0
@@ -127,9 +132,22 @@ class ServerStats:
     draining_rejections: int = 0
     #: ``close()`` drain waits that timed out with requests in flight.
     drain_timeouts: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def bump(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to counter ``name`` atomically."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + n)
 
     def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
+        with self._lock:
+            return {
+                f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)
+                if f.init
+            }
 
 
 class _Flight:
@@ -270,7 +288,7 @@ class ComICServer:
         """Admit one query/delta, or refuse it if the server is draining."""
         with self._drain:
             if self._closing:
-                self.stats.draining_rejections += 1
+                self.stats.bump("draining_rejections")
                 raise ServiceError(
                     503, "server is draining; no new work is accepted"
                 )
@@ -321,7 +339,7 @@ class ComICServer:
         try:
             self._begin_request()
         except ServiceError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return exc.status, {"error": str(exc)}
         try:
             return self._handle_query_admitted(graph_name, payload)
@@ -337,7 +355,7 @@ class ComICServer:
                 service, payload
             )
         except ServiceError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return exc.status, {"error": str(exc)}
 
         flight_key = (
@@ -350,7 +368,7 @@ class ComICServer:
         else:
             status, body = self._execute(service, query, config, rng)
         if status != 200:
-            self.stats.errors += 1
+            self.stats.bump("errors")
         return status, body
 
     def _parse_request(
@@ -438,12 +456,12 @@ class ComICServer:
                 flight = _Flight()
                 self._flights[key] = flight
                 leader = True
-                self.stats.flights += 1
+                self.stats.bump("flights")
             else:
                 leader = False
         if not leader:
             flight.event.wait()
-            self.stats.coalesced += 1
+            self.stats.bump("coalesced")
             assert flight.payload is not None
             return flight.status, flight.payload
         try:
@@ -473,7 +491,7 @@ class ComICServer:
                 result: InfluenceResult = service.session.run(
                     query, config=config, rng=rng
                 )
-            self.stats.queries += 1
+            self.stats.bump("queries")
             return 200, result.to_dict()
         except (QueryError, SeedSetError, GapError) as exc:
             # malformed *request* semantics (bad knobs, k > n, invalid
@@ -501,7 +519,7 @@ class ComICServer:
         try:
             self._begin_request()
         except ServiceError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return exc.status, {"error": str(exc)}
         try:
             return self._handle_delta_admitted(graph_name, payload)
@@ -539,20 +557,20 @@ class ComICServer:
                     "'rng' must be an integer seed (omit for session stream)",
                 )
         except ServiceError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return exc.status, {"error": str(exc)}
         try:
             with service.lock:
                 report = service.session.apply_delta(delta, rng=rng)
-            self.stats.deltas += 1
+            self.stats.bump("deltas")
             return 200, report.as_dict()
         except DeltaError as exc:
             # the delta contradicts the graph (removing a missing edge,
             # adding a present one): the client's fault
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return 400, {"error": str(exc)}
         except ReproError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
     # ------------------------------------------------------------------
@@ -584,7 +602,7 @@ class ComICServer:
         try:
             self._begin_request()
         except ServiceError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return exc.status, {"error": str(exc)}
         try:
             return self._handle_pipeline_admitted(graph_name, payload)
@@ -646,7 +664,7 @@ class ComICServer:
             except (ActionLogError, EstimationError, OSError) as exc:
                 raise ServiceError(400, f"bad pipeline input: {exc}") from exc
         except ServiceError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return exc.status, {"error": str(exc)}
         try:
             with service.lock:
@@ -658,15 +676,15 @@ class ComICServer:
                     workdir=workdir,
                     truth=truth,
                 )
-            self.stats.pipelines += 1
+            self.stats.bump("pipelines")
             return 200, result.to_dict()
         except (PipelineError, EstimationError, QueryError, GapError) as exc:
             # the config contradicts the inputs (unlearnable pair, EM
             # without episodes, bad query): the client's fault
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return 400, {"error": str(exc)}
         except ReproError as exc:
-            self.stats.errors += 1
+            self.stats.bump("errors")
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
     def handle_pipeline_runs(
@@ -793,7 +811,7 @@ class ComICServer:
             # handler keep running and are covered by the drain wait.
             self._httpd.shutdown()
         if not self._wait_drained(drain_timeout_s):
-            self.stats.drain_timeouts += 1
+            self.stats.bump("drain_timeouts")
         if self._httpd is not None:
             self._httpd.server_close()
             self._httpd = None
@@ -833,7 +851,7 @@ def _make_handler(server: ComICServer) -> type[BaseHTTPRequestHandler]:
             self.wfile.write(data)
 
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            server.stats.requests += 1
+            server.stats.bump("requests")
             path = self.path.rstrip("/") or "/"
             if path == "/health":
                 self._reply(*server.handle_health())
@@ -848,32 +866,32 @@ def _make_handler(server: ComICServer) -> type[BaseHTTPRequestHandler]:
                 try:
                     self._reply(*server.handle_catalog(name))
                 except ServiceError as exc:
-                    server.stats.errors += 1
+                    server.stats.bump("errors")
                     self._reply(exc.status, {"error": str(exc)})
             elif path.startswith("/pipeline/") and path.endswith("/runs"):
                 name = path[len("/pipeline/"):-len("/runs")]
                 try:
                     self._reply(*server.handle_pipeline_runs(name))
                 except ServiceError as exc:
-                    server.stats.errors += 1
+                    server.stats.bump("errors")
                     self._reply(exc.status, {"error": str(exc)})
             else:
-                server.stats.errors += 1
+                server.stats.bump("errors")
                 self._reply(404, {"error": f"no such endpoint: {self.path}"})
 
         def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            server.stats.requests += 1
+            server.stats.bump("requests")
             path = self.path.rstrip("/")
             try:
                 length = int(self.headers.get("Content-Length", "0"))
             except ValueError:
-                server.stats.errors += 1
+                server.stats.bump("errors")
                 self._reply(400, {"error": "bad Content-Length header"})
                 return
             if length > server.max_body_bytes:
                 # Refused before reading: the unread body would desync
                 # the keep-alive stream, so close this connection.
-                server.stats.errors += 1
+                server.stats.bump("errors")
                 self.close_connection = True
                 self._reply(
                     413,
@@ -889,7 +907,7 @@ def _make_handler(server: ComICServer) -> type[BaseHTTPRequestHandler]:
                 raw = self.rfile.read(length) if length > 0 else b""
                 payload = json.loads(raw.decode("utf-8")) if raw else {}
             except (ValueError, UnicodeDecodeError) as exc:
-                server.stats.errors += 1
+                server.stats.bump("errors")
                 self._reply(400, {"error": f"bad JSON body: {exc}"})
                 return
             if path.startswith("/query/"):
@@ -902,7 +920,7 @@ def _make_handler(server: ComICServer) -> type[BaseHTTPRequestHandler]:
                 graph_name = path[len("/pipeline/"):]
                 self._reply(*server.handle_pipeline(graph_name, payload))
             else:
-                server.stats.errors += 1
+                server.stats.bump("errors")
                 self._reply(404, {"error": f"no such endpoint: {self.path}"})
 
     return Handler

@@ -82,7 +82,7 @@ import numpy as np
 
 from repro import faults
 from repro.errors import StoreError, StoreIntegrityError
-from repro.invalidation import InvalidationReason, coerce_reason
+from repro.invalidation import InvalidationReason
 from repro.rrset.pool import RRSetPool
 from repro.store.keys import PoolKey
 from repro.store.manifest import FORMAT_VERSION, PoolManifest, crc32_of
@@ -649,7 +649,7 @@ class PoolStore:
         race, not corruption.  Only a failure stable across re-reads
         condemns the bytes.
         """
-        last_exc: Optional[StoreIntegrityError] = None
+        last_exc: StoreIntegrityError
         for attempt in range(3):
             if attempt:
                 time.sleep(0.005 * attempt)
@@ -666,7 +666,7 @@ class PoolStore:
                 self.stats.hits += 1
             return pool
         self.stats.invalidations += 1
-        reason = coerce_reason(getattr(last_exc, "reason", str(last_exc)))
+        reason = last_exc.reason
         self.stats.invalidations_by_reason[reason.value] = (
             self.stats.invalidations_by_reason.get(reason.value, 0) + 1
         )
@@ -697,12 +697,16 @@ class PoolStore:
             nodes = np.load(entry / NODES_FILE, mmap_mode=mmap_mode)
             indptr = np.load(entry / INDPTR_FILE, mmap_mode=mmap_mode)
         except (OSError, ValueError) as exc:
-            raise StoreIntegrityError(f"unreadable column file: {exc}") from exc
+            raise StoreIntegrityError(
+                f"unreadable column file: {exc}",
+                reason=InvalidationReason.CORRUPT_COLUMNS,
+            ) from exc
         indptr_dtype = manifest.column_dtype("indptr")
         if nodes.dtype != np.int32 or indptr.dtype != indptr_dtype:
             raise StoreIntegrityError(
                 f"column dtypes {nodes.dtype}/{indptr.dtype} do not match "
-                f"the manifest's int32/{indptr_dtype}"
+                f"the manifest's int32/{indptr_dtype}",
+                reason=InvalidationReason.CORRUPT_COLUMNS,
             )
         # Columns longer than the manifest describes are a concurrent (or
         # crash-interrupted) incremental append's tail: the described
@@ -766,7 +770,10 @@ class PoolStore:
         try:
             payload = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise StoreIntegrityError(f"unreadable manifest: {exc}") from exc
+            raise StoreIntegrityError(
+                f"unreadable manifest: {exc}",
+                reason=InvalidationReason.MALFORMED_MANIFEST,
+            ) from exc
         return PoolManifest.from_json(payload)
 
     @staticmethod
@@ -806,7 +813,7 @@ class PoolStore:
         key: PoolKey,
         reason: str,
         *,
-        reason_code: Optional[InvalidationReason] = None,
+        reason_code: InvalidationReason,
     ) -> Optional[Path]:
         """Move ``key``'s rejected entry under ``.quarantine/``; its new home.
 
@@ -815,11 +822,8 @@ class PoolStore:
         effort: a concurrent writer replacing the entry mid-move simply
         wins (``None`` is returned).  ``reason`` stays the human-readable
         message; the typed code rides alongside as ``reason_code`` in
-        ``reason.json`` (inferred from the message when not given — the
-        deprecation shim for pre-enum callers).
+        ``reason.json``.
         """
-        if reason_code is None:
-            reason_code = coerce_reason(reason)
         entry = self.entry_dir(key)
         if not entry.exists():
             return None

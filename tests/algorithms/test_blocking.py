@@ -1,13 +1,22 @@
-"""Tests for the appendix-B.4 influence-blocking module."""
+"""Tests for appendix-B.4 influence blocking: the MC objective and the
+CELF greedy a :class:`BlockingQuery` runs under mutual competition."""
 
 import pytest
 
+from repro.api import BlockingQuery, ComICSession
 from repro.errors import RegimeError
 from repro.graph import DiGraph, path_digraph, star_digraph
 from repro.models import GAP, exact_spread
-from repro.algorithms.blocking import estimate_suppression, greedy_blocking
+from repro.algorithms.blocking import estimate_suppression
 
 COMPETITIVE = GAP(q_a=0.8, q_a_given_b=0.0, q_b=1.0, q_b_given_a=0.0)
+
+
+def blocking_seeds(graph, gaps, seeds_a, k, *, rng=None, **query_fields):
+    session = ComICSession(graph, gaps, rng=rng)
+    return session.run(
+        BlockingQuery(seeds_a=tuple(seeds_a), k=k, **query_fields)
+    ).seeds
 
 
 class TestEstimateSuppression:
@@ -42,14 +51,14 @@ class TestEstimateSuppression:
 class TestGreedyBlocking:
     def test_requires_competition(self):
         with pytest.raises(RegimeError):
-            greedy_blocking(path_digraph(3), GAP(0.3, 0.8, 0.5, 0.9), [0], 1)
+            blocking_seeds(path_digraph(3), GAP(0.3, 0.8, 0.5, 0.9), [0], 1)
 
     def test_blocks_the_choke_point(self):
         """A path 0 -> 1 -> 2 -> 3: seeding B at node 1 chokes A's spread
         the most (it rejects A and stops relaying it)."""
         graph = path_digraph(4)
-        seeds = greedy_blocking(
-            graph, COMPETITIVE, [0], 1, runs=150, rng=0, candidates=[1, 2, 3]
+        seeds = blocking_seeds(
+            graph, COMPETITIVE, [0], 1, runs=150, rng=0, candidates=(1, 2, 3)
         )
         assert seeds == [1]
 
@@ -61,8 +70,8 @@ class TestGreedyBlocking:
                 (0, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0),
             ],
         )
-        chosen = greedy_blocking(
-            graph, COMPETITIVE, [0], 2, runs=150, rng=1, candidates=[1, 3, 4, 6]
+        chosen = blocking_seeds(
+            graph, COMPETITIVE, [0], 2, runs=150, rng=1, candidates=(1, 3, 4, 6)
         )
         ours = estimate_suppression(
             graph, COMPETITIVE, [0], chosen, runs=800, rng=2

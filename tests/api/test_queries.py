@@ -134,14 +134,16 @@ class TestValidation:
             BlockingQuery(seeds_a=(0,), k=1, gaps="Q-")
 
     def test_theta_override_rejected_for_imm(self):
-        from repro.rrset import TIMOptions
-
         with pytest.raises(QueryError, match="theta_override"):
             EngineConfig(engine="imm", theta_override=1000)
-        # Legacy shim path: TIM options carrying an override map onto IMM
-        # by dropping it, exactly as imm_options_from_tim always did.
-        config = EngineConfig.from_tim_options(
-            TIMOptions(theta_override=1000), engine="imm"
+
+    def test_from_tim_options_keeps_every_knob(self):
+        from repro.rrset import TIMOptions
+
+        options = TIMOptions(
+            epsilon=0.3, ell=2.0, max_rr_sets=900, min_rr_sets=50,
+            theta_override=400,
         )
-        assert config.theta_override is None
-        assert config.engine == "imm"
+        config = EngineConfig.from_tim_options(options)
+        assert config.engine == "tim"
+        assert config.tim_options() == options

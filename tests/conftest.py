@@ -1,4 +1,7 @@
-"""Shared pytest configuration: Hypothesis CI profiles.
+"""Shared pytest configuration: warning filters and Hypothesis CI profiles.
+
+Every ``DeprecationWarning`` is an error, so no deprecation shim (the
+library's or a dependency's) can slip into the suite unnoticed.
 
 Two registered profiles trade property-suite coverage for wall clock:
 
@@ -20,6 +23,11 @@ try:
     from hypothesis import settings
 except ImportError:  # pragma: no cover - hypothesis is a test-only dep
     settings = None
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+
 
 if settings is not None:
     settings.register_profile("ci", deadline=None)

@@ -77,6 +77,34 @@ class TestCrashRecovery:
         # rng rewound before the fallback: identical to a pure serial run.
         assert pools_equal(degraded, expected)
 
+    def test_pool_breaking_mid_dispatch_is_a_failed_round(
+        self, graph, monkeypatch
+    ):
+        """A worker can die while later shards are still being submitted;
+        spawning its replacement then fails on the pool's closed call
+        queue.  That is a failed round to retry, not an escaping error."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        with make_engine(graph) as eng:
+            baseline = eng.generate_batch(400, rng=7)
+        real_submit = ProcessPoolExecutor.submit
+        submits = []
+
+        def submit(self, fn, *args, **kwargs):
+            submits.append(fn)
+            if len(submits) == 2:
+                raise OSError("handle is closed")
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        with make_engine(graph) as eng:
+            recovered = eng.generate_batch(400, rng=7)
+            stats = eng.stats
+        assert len(submits) >= 3  # the failed shard was re-dispatched
+        assert stats.restarts >= 1
+        assert stats.serial_fallbacks == 0
+        assert pools_equal(recovered, baseline)
+
     def test_recovery_is_deterministic(self, graph):
         def run():
             plan = FaultPlan([FaultSpec("parallel.shard", "crash", at=1)])

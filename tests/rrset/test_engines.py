@@ -13,7 +13,12 @@ from repro.rrset import (
     run_seed_selection,
 )
 from repro.rrset.engines import imm_options_from_tim
-from repro.algorithms import solve_compinfmax, solve_selfinfmax
+from repro.api import ComICSession, CompInfMaxQuery, EngineConfig, SelfInfMaxQuery
+
+
+def run(graph, gaps, query, *, rng, **config_fields):
+    session = ComICSession(graph, gaps, config=EngineConfig(**config_fields), rng=rng)
+    return session.run(query)
 
 
 @pytest.fixture(scope="module")
@@ -66,40 +71,40 @@ class TestDispatch:
 class TestSolverEngines:
     def test_selfinfmax_imm_submodular_path(self, graph):
         gaps = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.5, q_b_given_a=0.5)
-        result = solve_selfinfmax(
-            graph, gaps, [0, 1], 3,
-            options=TIMOptions(max_rr_sets=1500), engine="imm", rng=4,
+        result = run(
+            graph, gaps, SelfInfMaxQuery(seeds_b=(0, 1), k=3),
+            engine="imm", max_rr_sets=1500, rng=4,
         )
         assert result.method == "submodular"
-        assert isinstance(result.tim_results["sigma"], IMMResult)
+        assert isinstance(result.raw.tim_results["sigma"], IMMResult)
         assert len(result.seeds) == 3
 
     def test_selfinfmax_imm_sandwich_path(self, graph):
         gaps = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.3, q_b_given_a=0.9)
-        result = solve_selfinfmax(
-            graph, gaps, [0, 1], 2,
-            options=TIMOptions(max_rr_sets=800),
-            evaluation_runs=30, engine="imm", rng=5,
+        result = run(
+            graph, gaps,
+            SelfInfMaxQuery(seeds_b=(0, 1), k=2, evaluation_runs=30),
+            engine="imm", max_rr_sets=800, rng=5,
         )
         assert result.method == "sandwich"
-        assert isinstance(result.tim_results["nu"], IMMResult)
+        assert isinstance(result.raw.tim_results["nu"], IMMResult)
 
     def test_compinfmax_imm_paths(self, graph):
         gaps = GAP(q_a=0.2, q_a_given_b=0.9, q_b=0.4, q_b_given_a=1.0)
-        result = solve_compinfmax(
-            graph, gaps, [0, 1], 2,
-            options=TIMOptions(max_rr_sets=800), engine="imm", rng=6,
+        result = run(
+            graph, gaps, CompInfMaxQuery(seeds_a=(0, 1), k=2),
+            engine="imm", max_rr_sets=800, rng=6,
         )
         assert result.method == "submodular"
-        assert isinstance(result.tim_results["sigma"], IMMResult)
+        assert isinstance(result.raw.tim_results["sigma"], IMMResult)
 
     def test_engines_agree_on_easy_instance(self):
         # A star hub is unambiguous: both engines must find it.
         graph = star_digraph(30)
         gaps = GAP(q_a=0.5, q_a_given_b=0.9, q_b=0.5, q_b_given_a=0.5)
         for engine in ("tim", "imm"):
-            result = solve_selfinfmax(
-                graph, gaps, [5], 1,
-                options=TIMOptions(max_rr_sets=1500), engine=engine, rng=7,
+            result = run(
+                graph, gaps, SelfInfMaxQuery(seeds_b=(5,), k=1),
+                engine=engine, max_rr_sets=1500, rng=7,
             )
             assert result.seeds == [0], engine

@@ -1,19 +1,26 @@
-"""Concurrent store access: racing saves/loads/GC stay consistent.
+"""Concurrent access: racing store saves/loads/GC and server counters.
 
 Two kinds of contenders race on one store directory: threads inside one
 process (two ``CatalogedPoolStore`` instances sharing files but not
 locks) and spawn-separated processes (the real multi-daemon scenario).
 Afterward the invariants must hold: the catalog matches the directories
 on disk, nothing was quarantined, and every save/load round-trips.
+
+The daemon's ``ServerStats`` counters are bumped from every handler
+thread at once; concurrent requests must be counted exactly.
 """
 
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
 
+from repro.api import EngineConfig, SelfInfMaxQuery
+from repro.graph import power_law_digraph, weighted_cascade_probabilities
 from repro.models import GAP
 from repro.rrset.pool import RRSetPool
+from repro.service import ComICServer, ServerStats, ServiceClient
 from repro.service.catalog import CatalogedPoolStore
 from repro.store import PoolKey, PoolStore
 
@@ -219,3 +226,76 @@ class TestProcessRaces:
             )
             assert loaded is not None
         assert audit.stats.invalidations == 0
+
+
+class TestServerStatsCounters:
+    def test_bump_from_many_threads_is_exact(self):
+        stats = ServerStats()
+        threads_n, per_thread = 4, 60000
+
+        def hammer():
+            for _ in range(per_thread):
+                stats.bump("requests")
+                stats.bump("errors", 2)
+
+        threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+        # A tiny switch interval makes the interpreter preempt threads
+        # between a counter's read and its write-back, so an unlocked
+        # read-modify-write would reliably lose increments here.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        snapshot = stats.as_dict()
+        assert snapshot["requests"] == threads_n * per_thread
+        assert snapshot["errors"] == 2 * threads_n * per_thread
+        assert "_lock" not in snapshot
+
+    def test_concurrent_requests_counted_exactly(self):
+        graph = weighted_cascade_probabilities(power_law_digraph(80, rng=3))
+        server = ComICServer()
+        server.register_graph(
+            "g", graph, GAPS, config=EngineConfig(max_rr_sets=400)
+        )
+        query = SelfInfMaxQuery(seeds_b=(0, 1), k=2)
+        clients_n, per_client = 6, 5
+        failures = []
+        try:
+            host, port = server.start()
+            barrier = threading.Barrier(clients_n)
+
+            def client(i):
+                try:
+                    with ServiceClient(host, port) as c:
+                        barrier.wait()
+                        for j in range(per_client):
+                            # distinct rng pins: no request is coalesced
+                            c.query("g", query, rng=i * per_client + j)
+                            c.health()
+                except Exception as exc:  # pragma: no cover - reporting
+                    failures.append(f"client {i}: {exc!r}")
+
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(clients_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stats = server.stats.as_dict()
+        finally:
+            server.close()
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        total_queries = clients_n * per_client
+        assert stats["queries"] == total_queries
+        assert stats["requests"] == 2 * total_queries  # query + health each
+        assert stats["errors"] == 0
+        assert stats["coalesced"] == 0

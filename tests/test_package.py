@@ -30,8 +30,7 @@ class TestPublicApi:
 
     def test_headline_api_present(self):
         assert callable(repro.simulate)
-        assert callable(repro.solve_selfinfmax)
-        assert callable(repro.solve_compinfmax)
+        assert callable(repro.ComICSession)
         assert callable(repro.general_tim)
 
 
