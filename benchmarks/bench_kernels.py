@@ -17,7 +17,6 @@ from repro.rrset import (
     RRSimGenerator,
     RRSimPlusGenerator,
     greedy_max_coverage,
-    greedy_max_coverage_legacy,
 )
 
 GAPS_SIM = GAP(0.3, 0.8, 0.5, 0.5)
@@ -128,16 +127,6 @@ def bench_greedy_max_coverage(benchmark, bench_scale):
     pool = generator.generate_batch(2000, rng=7)
     seeds, covered, _ = benchmark(
         lambda: greedy_max_coverage(pool, graph.num_nodes, 10)
-    )
-    assert covered > 0
-
-
-def bench_greedy_max_coverage_legacy(benchmark, bench_scale):
-    graph = _graph(bench_scale)
-    generator = RRICGenerator(graph)
-    rr_sets = generator.generate_batch(2000, rng=7).to_list()
-    seeds, covered, _ = benchmark(
-        lambda: greedy_max_coverage_legacy(rr_sets, graph.num_nodes, 10)
     )
     assert covered > 0
 

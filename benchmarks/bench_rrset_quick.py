@@ -7,7 +7,6 @@ alone:
 * per-RR-set generation cost, per-root oracle vs ``generate_batch``, for
   **every fast-path regime**: RR-IC, RR-SIM, RR-SIM+, RR-CIM, RR-LT and
   RR-Block;
-* pooled vs legacy ``greedy_max_coverage``;
 * end-to-end SelfInfMax *and* CompInfMax via ``general_imm`` at equal
   ``eps``, batched engine vs oracle-forced generation, with RR-estimated
   objectives of both seed sets to confirm quality parity;
@@ -45,7 +44,7 @@ alone:
   coin-draw order, so equal schedules must give bit-identical pools).
 
 The emitted JSON follows the stable schema documented in
-``docs/benchmarks.md`` (``schema_version`` 5).  Each generation entry
+``docs/benchmarks.md`` (``schema_version`` 6).  Each generation entry
 records a ``speedup_floor``; the script exits non-zero when any regime's
 measured batch-vs-oracle speedup falls below its floor, so a silent
 fallback to the oracle loop turns CI red instead of just slowing users
@@ -91,14 +90,12 @@ from repro.rrset import (
     RRSimGenerator,
     RRSimPlusGenerator,
     general_imm,
-    greedy_max_coverage,
-    greedy_max_coverage_legacy,
     rr_estimate_objective,
 )
 from repro.rrset.base import RRSetGenerator
 from repro.rrset.sweep import SweepConfig
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 GAPS_SIM = GAP(q_a=0.3, q_a_given_b=0.75, q_b=0.5, q_b_given_a=0.5)
 GAPS_CIM = GAP(q_a=0.3, q_a_given_b=0.75, q_b=0.5, q_b_given_a=1.0)
@@ -553,22 +550,6 @@ def main(argv=None) -> int:
             name, generator, per_root_count * scale, batch_count * scale, repeats
         )
         print(f"generation[{name}]:", report["generation"][name])
-
-    pool = generators["rr_ic"].generate_batch(batch_count, rng=7)
-    rr_list = pool.to_list()
-    t_pooled = best_of(lambda: greedy_max_coverage(pool, graph.num_nodes, args.k), repeats)
-    t_legacy = best_of(
-        lambda: greedy_max_coverage_legacy(rr_list, graph.num_nodes, args.k), repeats
-    )
-    assert greedy_max_coverage(pool, graph.num_nodes, args.k) == \
-        greedy_max_coverage_legacy(rr_list, graph.num_nodes, args.k)
-    report["greedy_max_coverage"] = {
-        "sets": batch_count,
-        "pooled_s": round(t_pooled, 4),
-        "legacy_s": round(t_legacy, 4),
-        "speedup": round(t_legacy / t_pooled, 2),
-    }
-    print("greedy_max_coverage:", report["greedy_max_coverage"])
 
     opts = IMMOptions(epsilon=0.5, max_rr_sets=imm_cap)
     eval_samples = 4000 if args.quick else 10_000

@@ -15,8 +15,7 @@ from repro.rrset.pool import RRSetPool
 from repro.rrset.sweep import (
     DEFAULT_CHUNK_STATE_BYTES,
     SweepConfig,
-    make_flags,
-    make_values,
+    make_state,
 )
 from repro.rrset.rr_ic import RRICGenerator
 from repro.rrset.rr_lt import RRLTGenerator, vanilla_lt_seeds
@@ -30,7 +29,6 @@ from repro.rrset.tim import (
     TIMResult,
     general_tim,
     greedy_max_coverage,
-    greedy_max_coverage_legacy,
 )
 from repro.rrset.imm import IMMOptions, IMMResult, general_imm
 from repro.rrset.engines import SelectionResult, run_seed_selection
@@ -42,8 +40,7 @@ __all__ = [
     "RRSetPool",
     "SweepConfig",
     "DEFAULT_CHUNK_STATE_BYTES",
-    "make_flags",
-    "make_values",
+    "make_state",
     "RepairReport",
     "repair_pool",
     "RRICGenerator",
@@ -58,7 +55,6 @@ __all__ = [
     "TIMResult",
     "general_tim",
     "greedy_max_coverage",
-    "greedy_max_coverage_legacy",
     "IMMOptions",
     "IMMResult",
     "general_imm",

@@ -33,8 +33,9 @@ node columns once and offset-shifting CSR pointers, which is how
 
 Member nodes are stored as ``int32`` (graphs here are far below the 2**31
 node ceiling, and halving the bytes doubles effective memory bandwidth of
-every sweep); :meth:`__getitem__` returns the raw ``int32`` view while
-:meth:`to_list` widens to the ``int64`` arrays the legacy list API used.
+every sweep); :meth:`__getitem__` returns the raw ``int32`` view.  The
+chunk state, key primitives and coin memo the generators fill a pool with
+live in :mod:`repro.rrset.sweep`.
 
 Touch signatures (dynamic graphs)
 ---------------------------------
@@ -68,9 +69,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# Re-exported here for the batched sweeps; the canonical home is the graph
-# layer, which forward cascades share.
-from repro.graph.digraph import expand_csr  # noqa: F401
+# Re-exported because perfbench/tracing.py imports the memo from here and
+# patches ``ChunkCoinMemo.lookup_or_draw`` on the class; it lives in sweep.
+from repro.rrset.sweep import ChunkCoinMemo  # noqa: F401
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -631,10 +632,6 @@ class RRSetPool:
         for i in range(self._num_sets):
             yield self[i]
 
-    def to_list(self) -> list[np.ndarray]:
-        """The legacy representation: one ``int64`` array per set."""
-        return [np.asarray(rr_set, dtype=np.int64) for rr_set in self]
-
     def prefix(self, count: int) -> "RRSetPool":
         """A zero-copy *read-only* view of the first ``count`` sets.
 
@@ -871,218 +868,3 @@ class RRSetPool:
         self._touch_used = int(self._touch_edges.size)
         self._set_ids_cache = None
         return dropped_roots
-
-
-def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(unique, inverse)`` of an integer key array via one sort.
-
-    ``unique`` is sorted-distinct and ``unique[inverse]`` reconstructs
-    ``keys`` — the fast replacement for ``np.unique(..,
-    return_inverse=True)`` that the batched sweeps use when several lanes
-    of one chunk may query the same memoised world variable in a single
-    bulk call (a coin or threshold must be drawn once per distinct key).
-    """
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.empty(ordered.size, dtype=bool)
-    if ordered.size:
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(keys.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
-class ChunkCoinMemo:
-    """Memoised per-``(chunk member, edge)`` Bernoulli coins.
-
-    The batched RR-CIM and RR-SIM+ kernels test the same edge from several
-    sub-searches of one world — forward labeling, the primary backward
-    search, Case-1 secondary searches and Case-4 zig-zag checks — so a
-    coin flipped in one sweep must be replayed by the others, exactly like
-    the oracle's memoised :meth:`~repro.models.sources.WorldSource.
-    edge_live`.  (RR-SIM's two-phase kernel gets away with a write-once
-    record because its phases never re-test an edge among themselves; the
-    richer kernels need a growable memo.)
-
-    Keys are ``member * num_edges + edge_id``.  The memo is one sorted
-    key array plus parallel values; every bulk query is a ``searchsorted``
-    lookup, fresh draws are merged in sorted position via ``np.insert``.
-    """
-
-    __slots__ = (
-        "_keys",
-        "_vals",
-        "_okeys",
-        "_ovals",
-        "_pending_keys",
-        "_pending_vals",
-        "_pending",
-    )
-
-    def __init__(self) -> None:
-        # Base tier: bulk-recorded coins, consolidated (sorted) lazily.
-        self._keys = np.empty(0, dtype=np.int64)
-        self._vals = np.empty(0, dtype=bool)
-        # Overlay tier: coins first drawn by a lookup; kept separate so
-        # merging them never rewrites the (much larger) base.
-        self._okeys = np.empty(0, dtype=np.int64)
-        self._ovals = np.empty(0, dtype=bool)
-        self._pending_keys: list[np.ndarray] = []
-        self._pending_vals: list[np.ndarray] = []
-        self._pending = 0
-
-    @property
-    def size(self) -> int:
-        """Number of memoised coins (distinct keys seen so far)."""
-        return self._keys.size + self._okeys.size + self._pending
-
-    def record(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Append coins for previously-unseen keys without a lookup.
-
-        The fast lane for sweep phases that can never re-test an edge
-        (each source node expands at most once, and an edge belongs to
-        exactly one source): coins accumulate as raw fragments, deferring
-        all sorting to one consolidation pass when a later phase first
-        needs to look something up.  Callers must guarantee the keys are
-        distinct from everything recorded or drawn before.
-        """
-        if keys.size:
-            self._pending_keys.append(keys)
-            self._pending_vals.append(vals)
-            self._pending += keys.size
-
-    def _consolidate(self) -> None:
-        if not self._pending:
-            return
-        keys = np.concatenate([self._keys, *self._pending_keys])
-        vals = np.concatenate([self._vals, *self._pending_vals])
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._vals = vals[order]
-        self._pending_keys.clear()
-        self._pending_vals.clear()
-        self._pending = 0
-
-    def lookup_or_draw(
-        self, keys: np.ndarray, probs: np.ndarray, gen: np.random.Generator
-    ) -> np.ndarray:
-        """Coin value for every key (repeats allowed within one call).
-
-        Known keys replay their memoised value; unseen keys draw a fresh
-        ``Bernoulli(probs)`` coin — once per *distinct* key — and are
-        recorded for later sweeps.
-        """
-        if keys.size == 0:
-            return np.empty(0, dtype=bool)
-        self._consolidate()
-        ukeys, inverse = unique_inverse(keys)
-        uvals = np.empty(ukeys.size, dtype=bool)
-        unseen = np.ones(ukeys.size, dtype=bool)
-        for tier_keys, tier_vals in (
-            (self._keys, self._vals),
-            (self._okeys, self._ovals),
-        ):
-            if tier_keys.size and unseen.any():
-                idx = np.flatnonzero(unseen)
-                pos = np.minimum(
-                    np.searchsorted(tier_keys, ukeys[idx]), tier_keys.size - 1
-                )
-                hit = tier_keys[pos] == ukeys[idx]
-                uvals[idx[hit]] = tier_vals[pos[hit]]
-                unseen[idx[hit]] = False
-        if unseen.any():
-            uprobs = np.empty(ukeys.size, dtype=np.float64)
-            uprobs[inverse] = probs  # any occurrence carries the edge's prob
-            idx = np.flatnonzero(unseen)
-            uvals[idx] = gen.random(idx.size) < uprobs[idx]
-            # Manual O(overlay) two-way merge into the overlay tier
-            # (np.insert pays far too much per-call overhead here).
-            new_keys = ukeys[idx]
-            total = self._okeys.size + new_keys.size
-            new_pos = np.searchsorted(self._okeys, new_keys) + np.arange(
-                new_keys.size, dtype=np.int64
-            )
-            merged_keys = np.empty(total, dtype=np.int64)
-            merged_vals = np.empty(total, dtype=bool)
-            merged_keys[new_pos] = new_keys
-            merged_vals[new_pos] = uvals[idx]
-            old = np.ones(total, dtype=bool)
-            old[new_pos] = False
-            merged_keys[old] = self._okeys
-            merged_vals[old] = self._ovals
-            self._okeys = merged_keys
-            self._ovals = merged_vals
-        return uvals[inverse]
-
-    def touched_keys(self) -> np.ndarray:
-        """Sorted distinct ``member * num_edges + edge`` keys of every coin.
-
-        The chunk's complete edge-touch record: one key per coin the
-        kernel flipped, across all tiers.  Feeds the pool's touch columns
-        via :func:`touches_from_keys` when delta repair is tracking.
-        """
-        self._consolidate()
-        if not self._okeys.size:
-            return self._keys.copy()
-        if not self._keys.size:
-            return self._okeys.copy()
-        return np.sort(np.concatenate([self._keys, self._okeys]))
-
-
-def unique_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an integer key array.
-
-    Drop-in for ``np.unique`` on the sweeps' ``world * n + node`` keys —
-    a plain sort + neighbour-comparison, which is an order of magnitude
-    faster than ``np.unique``'s generic path on these workloads.
-    """
-    if keys.size <= 1:
-        return keys.copy()
-    ordered = np.sort(keys)
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
-def touches_from_keys(
-    keys: np.ndarray, num_edges: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split sorted distinct ``member * num_edges + edge`` keys into the
-    packed per-member touch rows :meth:`RRSetPool.append_flat` expects.
-
-    Returns ``(touch_edges, touch_lengths)``: the flat ``int32`` edge-id
-    column (grouped by member, ascending within each) and one length per
-    chunk member — including zeros for members whose sweep flipped no
-    coins.
-    """
-    if keys.size == 0:
-        return np.empty(0, dtype=np.int32), np.zeros(count, dtype=np.int64)
-    member, eid = np.divmod(keys, num_edges)
-    lengths = np.bincount(member, minlength=count).astype(np.int64)
-    return eid.astype(np.int32), lengths
-
-
-def flatten_members(
-    member_sets: Sequence[np.ndarray],
-    member_ids: Sequence[np.ndarray],
-    count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Regroup level-order ``(set_id, node)`` fragments into packed sets.
-
-    The batched generators discover members level-by-level: each sweep
-    level yields parallel arrays of set ids and nodes.  This helper
-    concatenates all levels, stably sorts by set id and returns
-    ``(nodes, lengths)`` ready for :meth:`RRSetPool.append_flat` —
-    including length-0 entries for sets that produced no members.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if not member_ids:
-        return np.empty(0, dtype=np.int32), np.zeros(count, dtype=np.int64)
-    ids = np.concatenate([np.asarray(a) for a in member_ids])
-    nodes = np.concatenate([np.asarray(a) for a in member_sets])
-    order = np.argsort(ids, kind="stable")
-    lengths = np.bincount(ids, minlength=count).astype(np.int64)
-    return nodes[order].astype(np.int32, copy=False), lengths

@@ -66,7 +66,7 @@ a forward sweep would re-cascade ``S_A`` across every world (hub seed
 sets made that quadratic in practice).  Roots are pre-filtered by one
 uniform draw realising ``alpha_A(root)`` (outside ``[q_{A|B}, q_{A|∅})``
 the set is empty before any search).  Every phase-1 coin is recorded
-into a :class:`~repro.rrset.pool.ChunkCoinMemo` (record fast lane — each
+into a :class:`~repro.rrset.sweep.ChunkCoinMemo` (record fast lane — each
 node expands at most once per world) and the bounded reverse B-sweep
 replays them via ``lookup_or_draw``, so an edge keeps one coin across
 both passes exactly like the oracle's memoised ``WorldSource``.  Output
@@ -82,24 +82,20 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import RegimeError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import (
+from repro.rrset.pool import RRSetPool
+from repro.rrset.sweep import (
     ChunkCoinMemo,
-    RRSetPool,
-    expand_csr,
+    adaptive_chunk,
     flatten_members,
+    make_state,
     touches_from_keys,
 )
-from repro.rrset.sweep import make_flags
-
-#: Target size of one chunk's coin memo (entries) — bounds batch memory on
-#: worlds whose reverse A-regions are dense.
-_COIN_BUDGET = 16 << 20
 
 
 def check_rr_block_regime(gaps: GAP) -> None:
@@ -277,7 +273,7 @@ class RRBlockGenerator(RRSetGenerator):
         budget = np.full(b, -1, dtype=np.int64)
         if lanes.size == 0 or seeds.size == 0:
             return budget
-        visited = make_flags(b, n, backend)
+        visited = make_state(b, n, backend)
         fw, fn = lanes, chunk_roots[lanes]
         visited.mark(fw * n + fn)
         depth = 0
@@ -309,8 +305,7 @@ class RRBlockGenerator(RRSetGenerator):
             if flat.size == 0:
                 break
             if world is None:
-                live = gen.random(flat.size) < in_prob[flat]
-                memo.record(fw[reps] * m + in_eid[flat], live)
+                live = memo.draw(fw[reps] * m + in_eid[flat], in_prob[flat], gen)
             else:
                 live = world.live[in_eid[flat]]
             key = visited.mark_new(fw[reps[live]] * n + in_src[flat[live]])
@@ -378,9 +373,7 @@ class RRBlockGenerator(RRSetGenerator):
                 b, chunk_roots, np.flatnonzero(viable), gen, world, memo,
                 backend,
             )
-            if world is None:
-                coins_per_world = max(memo.size / b, 1.0)
-                chunk = int(np.clip(_COIN_BUDGET / coins_per_world, 1, max_chunk))
+            chunk = adaptive_chunk(memo.size, b, max_chunk)
             track = pool.track_touches and world is None
 
             def chunk_touches():
@@ -403,7 +396,7 @@ class RRBlockGenerator(RRSetGenerator):
                 )
                 continue
             lane_roots = chunk_roots[lanes]
-            visited = make_flags(b, n, backend)
+            visited = make_state(b, n, backend)
             visited.mark(lanes * n + lane_roots)
             member_ids = [lanes]
             member_nodes = [lane_roots]

@@ -51,7 +51,7 @@ because exploration from a node is a function of the memoised world
 alone), and per-candidate Case-4 zig-zag forward/backward sweeps laid out
 as independent lanes.  Because sub-searches of one world may re-test an
 edge, all liveness coins go through a shared
-:class:`~repro.rrset.pool.ChunkCoinMemo` — the batched realisation of the
+:class:`~repro.rrset.sweep.ChunkCoinMemo` — the batched realisation of the
 oracle's memoised ``WorldSource`` — so the output distribution matches
 :meth:`RRCimGenerator.generate` exactly; ``tests/rrset/
 test_batch_equivalence.py`` verifies fixed-world equality (Cases 1–4) and
@@ -67,21 +67,21 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import RegimeError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import (
+from repro.rrset.pool import RRSetPool
+from repro.rrset.sweep import (
     ChunkCoinMemo,
-    RRSetPool,
-    expand_csr,
+    adaptive_chunk,
+    make_state,
     touches_from_keys,
     unique_inverse,
     unique_keys,
 )
-from repro.rrset.sweep import make_flags, make_values
 
 # Forward-labeling labels, ordered by strength (rejected is terminal).
 LABEL_REJECTED = -1
@@ -100,11 +100,6 @@ _AA_SHIFT = 3
 _AA_MASK = np.uint8(0b11 << _AA_SHIFT)  # 0 unknown / 1 low / 2 mid / 3 high
 _AB_SHIFT = 5
 _AB_MASK = np.uint8(0b11 << _AB_SHIFT)  # 0 unknown / 1 pass / 2 fail
-
-#: Target size of one chunk's edge-coin memo (entries) — bounds batch
-#: memory on worlds with large A-reachable regions (ROADMAP sparse-state
-#: item: the record, not the dense state, is what grows with the region).
-_COIN_BUDGET = 16 << 20
 
 
 def check_rr_cim_regime(gaps: GAP) -> None:
@@ -467,10 +462,7 @@ class RRCimGenerator(RRSetGenerator):
         """
         if world is not None:
             return world.live[eids]
-        keys = members * self._graph.num_edges + eids
-        live = gen.random(keys.size) < probs
-        coins.record(keys, live)
-        return live
+        return coins.draw(members * self._graph.num_edges + eids, probs, gen)
 
     def _forward_label_batch(
         self, b, state, coins, gen, world: Optional[PossibleWorld]
@@ -575,7 +567,7 @@ class RRCimGenerator(RRSetGenerator):
         root_lab = state.get(root_keys) & _LBL_MASK
         alive = (root_lab == LABEL_POTENTIAL) | (root_lab == LABEL_SUSPENDED)
         frontier = root_keys[alive]
-        visited = make_flags(b, n, state.kind)
+        visited = make_state(b, n, state.kind)
         visited.mark(frontier)
         rr_frags: list[np.ndarray] = []
         sec_frags: list[np.ndarray] = []
@@ -626,7 +618,7 @@ class RRCimGenerator(RRSetGenerator):
         graph = self._graph
         n = graph.num_nodes
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
-        visited = make_flags(b, n, state.kind)
+        visited = make_state(b, n, state.kind)
         visited.mark(starts)
         frontier = starts  # starts expand unconditionally, as in the oracle
         collected: list[np.ndarray] = []
@@ -678,9 +670,9 @@ class RRCimGenerator(RRSetGenerator):
             lane_member, lane_node = np.divmod(keys, n)
             lanes = np.arange(j, dtype=np.int64)
             # Forward sweep: Sf = B-diffusible nodes reachable from u.
-            fvisited = make_flags(j, n, state.kind)
+            fvisited = make_state(j, n, state.kind)
             fvisited.mark(lanes * n + lane_node)
-            sf_susp = make_flags(j, n, state.kind)  # suspended members of Sf
+            sf_susp = make_state(j, n, state.kind)  # suspended members of Sf
             any_forward = np.zeros(j, dtype=bool)
             flane, fnode = lanes, lane_node
             while flane.size:
@@ -708,7 +700,7 @@ class RRCimGenerator(RRSetGenerator):
             # only lanes whose forward set is non-empty can succeed.
             blane = lanes[any_forward]
             bnode = lane_node[any_forward]
-            bvisited = make_flags(j, n, state.kind)
+            bvisited = make_state(j, n, state.kind)
             bvisited.mark(blane * n + bnode)
             verdict = np.zeros(j, dtype=bool)
             while blane.size:
@@ -787,7 +779,7 @@ class RRCimGenerator(RRSetGenerator):
             chunk_roots = roots[start : start + chunk]
             b = chunk_roots.size
             start += b
-            state = make_values(b, n, np.uint8, backend)
+            state = make_state(b, n, backend, np.uint8)
             coins = ChunkCoinMemo()
             self._forward_label_batch(b, state, coins, gen, world)
             rr_frags, sec_frags, zig_frags = self._primary_batch(
@@ -828,6 +820,5 @@ class RRCimGenerator(RRSetGenerator):
                 touch_edges=touch_edges,
                 touch_lengths=touch_lengths,
             )
-            coins_per_member = max(coins.size / b, 1.0)
-            chunk = int(np.clip(_COIN_BUDGET / coins_per_member, 1, max_chunk))
+            chunk = adaptive_chunk(coins.size, b, max_chunk)
         return pool

@@ -27,13 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import expand_csr
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool, expand_csr, flatten_members
-from repro.rrset.sweep import make_flags
+from repro.rrset.pool import RRSetPool
+from repro.rrset.sweep import flatten_members, make_state
 
 
 class RRICGenerator(RRSetGenerator):
@@ -105,7 +105,7 @@ class RRICGenerator(RRSetGenerator):
             ids = np.arange(b, dtype=np.int64)
             # Flat (set, node) -> set * n + node keys index a 1D visited
             # state: 1D gathers/scatters are markedly faster than 2D.
-            visited = make_flags(b, n, backend)
+            visited = make_state(b, n, backend)
             visited.mark(ids * n + chunk_roots)
             member_ids = [ids]
             member_nodes = [chunk_roots]

@@ -34,8 +34,8 @@ from repro.graph.digraph import DiGraph
 from repro.models.lt import _check_lt_instance
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool, flatten_members
-from repro.rrset.sweep import make_flags
+from repro.rrset.pool import RRSetPool
+from repro.rrset.sweep import flatten_members, make_state
 
 
 class RRLTGenerator(RRSetGenerator):
@@ -126,7 +126,7 @@ class RRLTGenerator(RRSetGenerator):
             chunk_roots = roots[start : start + chunk]
             b = chunk_roots.size
             ids = np.arange(b, dtype=np.int64)
-            visited = make_flags(b, n, backend)
+            visited = make_state(b, n, backend)
             visited.mark(ids * n + chunk_roots)
             member_ids = [ids]
             member_nodes = [chunk_roots]

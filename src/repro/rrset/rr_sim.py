@@ -26,10 +26,10 @@ with bulk vectorized draws: Phase II labels the B-adopted sets of *all*
 chunk worlds with one level-synchronous forward sweep (memoising each
 node's ``alpha_B`` outcome in a bit-flag state array), and Phase III runs
 the backward searches of all roots with one level-synchronous reverse
-sweep.  Edge coins flipped during Phase II are recorded in a sorted
-(world, edge) key array which Phase III consults before flipping fresh
-coins, so an edge keeps a single coin across phases exactly as the
-memoised oracle does.  Coins and thresholds materialise only for the
+sweep.  Edge coins flipped during Phase II are recorded into the chunk's
+:class:`~repro.rrset.sweep.ChunkCoinMemo`, which Phase III replays over
+its fresh draws, so an edge keeps a single coin across phases exactly as
+the memoised oracle does.  Coins and thresholds materialise only for the
 edges and nodes the sweeps touch, so batch cost tracks total RR-set size
 rather than ``n + m``.  Output distribution is identical to
 :meth:`generate`; ``tests/rrset/test_batch_equivalence.py`` verifies
@@ -45,30 +45,27 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import RegimeError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import (
-    RRSetPool,
-    expand_csr,
+from repro.rrset.pool import RRSetPool
+from repro.rrset.sweep import (
+    ChunkCoinMemo,
+    adaptive_chunk,
     flatten_members,
+    make_state,
     touches_from_keys,
     unique_keys,
 )
-from repro.rrset.sweep import make_flags, make_values
 
 #: Bit flags of the batched Phase-II state matrix: the memoised
 #: ``alpha_B < q_B`` outcome (pass/fail) and final B-adoption.
 _B_PASS = np.int8(1)
 _B_FAIL = np.int8(2)
 _B_ADOPTED = np.int8(4)
-
-#: Target size of one chunk's Phase-II edge-coin record (entries; int64
-#: key + bool value each) — bounds batch memory on dense B-regions.
-_COIN_BUDGET = 16 << 20
 
 
 def check_rr_sim_regime(gaps: GAP) -> None:
@@ -142,6 +139,61 @@ def backward_search_a(
     return np.asarray(rr_set, dtype=np.int64)
 
 
+def forward_label_b_batch(
+    graph: DiGraph,
+    q_b: float,
+    frontier: np.ndarray,
+    b_state,
+    flip,
+    gen: np.random.Generator,
+    world: Optional[PossibleWorld],
+) -> None:
+    """Batched Phase II: forward B-labeling of a chunk's worlds at once.
+
+    ``frontier`` holds the ``member * n + node`` keys of the B-seeds,
+    which adopt unconditionally.  ``b_state`` is the int8 bit-flag sweep
+    state over those keys — :data:`_B_PASS` / :data:`_B_FAIL` memoise
+    each node's lazily-drawn ``alpha_B < q_B`` outcome, :data:`_B_ADOPTED`
+    marks final B-adoption — packed so every level costs one gather and
+    one scatter.  ``flip(keys, probs, gen)`` realises the liveness of
+    ``member * m + edge`` keys in lazy worlds: a
+    :class:`~repro.rrset.sweep.ChunkCoinMemo`'s ``draw`` when no edge can
+    have been tested before, its ``lookup_or_draw`` otherwise.
+    """
+    n, m = graph.num_nodes, graph.num_edges
+    out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
+    b_state.put(frontier, _B_ADOPTED)
+    while frontier.size:
+        fmember, fnode = np.divmod(frontier, n)
+        reps, flat = expand_csr(out_indptr, fnode)
+        if flat.size == 0:
+            break
+        if world is None:
+            live = flip(fmember[reps] * m + out_eid[flat], out_prob[flat], gen)
+        else:
+            live = world.live[out_eid[flat]]
+        key = fmember[reps[live]] * n + out_dst[flat[live]]
+        if key.size == 0:
+            break
+        key = unique_keys(key)
+        st = b_state.get(key)
+        idle = (st & _B_ADOPTED) == 0
+        key, st = key[idle], st[idle]
+        if key.size == 0:
+            break
+        if world is None:
+            unknown = (st & (_B_PASS | _B_FAIL)) == 0
+            if unknown.any():
+                passes = gen.random(int(unknown.sum())) < q_b
+                st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
+            adopt = (st & _B_PASS) != 0
+            b_state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
+        else:
+            adopt = world.alpha_b[key % n] < q_b
+            b_state.put(key[adopt], _B_ADOPTED)
+        frontier = key[adopt]
+
+
 class RRSimGenerator(RRSetGenerator):
     """Random RR-set sampler for SelfInfMax (Algorithm 2)."""
 
@@ -182,81 +234,6 @@ class RRSimGenerator(RRSetGenerator):
         )
         return backward_search_a(self._graph, world, self._gaps, root, b_adopted)
 
-    def _phase2_batch(
-        self,
-        b: int,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-        backend: str,
-    ) -> tuple[object, np.ndarray, np.ndarray]:
-        """Phase II for a whole chunk of ``b`` independent worlds.
-
-        Returns ``(state, coin_keys, coin_vals)``.  ``state`` is one int8
-        bit-flag sweep state over ``world * n + node`` keys (dense flat
-        array or sparse touched-key map per ``backend``) — :data:`_B_PASS`
-        / :data:`_B_FAIL` memoise each node's lazily-drawn ``alpha_B <
-        q_B`` outcome, :data:`_B_ADOPTED` marks final B-adoption — packed
-        together so every sweep level costs one gather and one scatter.  The sorted ``coin_keys``/``coin_vals``
-        record every edge coin this phase flipped (key ``world_id * m +
-        edge_id``) so Phase III can reuse them — the batched realisation
-        of the oracle's memoised ``WorldSource.edge_live``.
-        """
-        graph = self._graph
-        n, m = graph.num_nodes, graph.num_edges
-        q_b = self._gaps.q_b
-        out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
-        # Flat (world, node) -> world * n + node keys over a 1D state:
-        # 1D gathers/scatters are markedly faster than 2D.
-        state = make_values(b, n, np.int8, backend)
-        empty_keys = np.empty(0, dtype=np.int64)
-        empty_vals = np.empty(0, dtype=bool)
-        # Dedupe like the oracle's frontier guard: a B-seed listed twice
-        # must not expand (and flip coins for) its out-edges twice.
-        seeds = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
-        if seeds.size == 0:
-            return state, empty_keys, empty_vals
-        frontier_world = np.repeat(np.arange(b, dtype=np.int64), seeds.size)
-        frontier_node = np.tile(seeds, b)
-        state.put(frontier_world * n + frontier_node, _B_ADOPTED)
-        coin_keys: list[np.ndarray] = []
-        coin_vals: list[np.ndarray] = []
-        while frontier_node.size:
-            reps, flat = expand_csr(out_indptr, frontier_node)
-            if flat.size == 0:
-                break
-            if world is None:
-                live = gen.random(flat.size) < out_prob[flat]
-                coin_keys.append(frontier_world[reps] * m + out_eid[flat])
-                coin_vals.append(live)
-            else:
-                live = world.live[out_eid[flat]]
-            key = frontier_world[reps[live]] * n + out_dst[flat[live]]
-            if key.size == 0:
-                break
-            key = unique_keys(key)
-            st = state.get(key)
-            idle = (st & _B_ADOPTED) == 0
-            key, st = key[idle], st[idle]
-            if key.size == 0:
-                break
-            if world is None:
-                unknown = (st & (_B_PASS | _B_FAIL)) == 0
-                if unknown.any():
-                    passes = gen.random(int(unknown.sum())) < q_b
-                    st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
-                adopt = (st & _B_PASS) != 0
-                state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
-            else:
-                adopt = world.alpha_b[key % n] < q_b
-                state.put(key[adopt], _B_ADOPTED)
-            frontier_world, frontier_node = np.divmod(key[adopt], n)
-        if not coin_keys:
-            return state, empty_keys, empty_vals
-        keys = np.concatenate(coin_keys)
-        vals = np.concatenate(coin_vals)
-        order = np.argsort(keys, kind="stable")
-        return state, keys[order], vals[order]
-
     def generate_batch(
         self,
         count: int,
@@ -288,14 +265,15 @@ class RRSimGenerator(RRSetGenerator):
             return pool
         track = pool.track_touches and world is None
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
+        # Dedupe like the oracle's frontier guard: a B-seed listed twice
+        # must not expand (and flip coins for) its out-edges twice.
+        seeds = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
         # The sweep engine budgets the chunk's state (int8 B-state plus
         # bool visited per (world, node) dense).  Phase II's per-level
         # sweep overhead is paid once per chunk, so RR-SIM wants the
-        # largest chunk memory affords — but the Phase-II coin record
-        # grows with the B-region's out-degree per world, which is only
-        # known after sampling.  Start with a modest probe chunk and
-        # re-size from the observed coins-per-world so the record stays
-        # around _COIN_BUDGET entries per chunk.
+        # largest chunk memory affords — but the Phase-II coin memo
+        # grows with the B-region's out-degree per world, so chunks start
+        # at a probe size and adapt to the observed memo load.
         backend = self.sweep.resolve_backend(n)
         max_chunk = self.sweep.chunk_size(
             n, backend, state_bytes_per_node=2, max_members=8192
@@ -306,21 +284,26 @@ class RRSimGenerator(RRSetGenerator):
             chunk_roots = roots[start : start + chunk]
             b = chunk_roots.size
             start += b
-            b_state, coin_keys, coin_vals = self._phase2_batch(
-                b, gen, world, backend
-            )
-            coins_per_world = max(coin_keys.size / b, 1.0)
-            chunk = int(np.clip(_COIN_BUDGET / coins_per_world, 1, max_chunk))
+            ids = np.arange(b, dtype=np.int64)
+            # Phase II; each node expands at most once per world, so every
+            # coin is a first flip, recorded for Phase III to replay.
+            coins = ChunkCoinMemo()
+            b_state = make_state(b, n, backend, np.int8)
+            if seeds.size:
+                forward_label_b_batch(
+                    graph, gaps.q_b, (ids[:, None] * n + seeds).ravel(),
+                    b_state, coins.draw, gen, world,
+                )
+            chunk = adaptive_chunk(coins.size, b, max_chunk)
             # Phase III: a dequeued node always joins its RR-set; the sweep
             # expands past it only where alpha_A clears the NLA threshold
             # (each node is dequeued at most once per world, so a fresh
             # draw realises the memoised alpha_A exactly).
-            visited = make_flags(b, n, backend)
-            ids = np.arange(b, dtype=np.int64)
+            visited = make_state(b, n, backend)
             visited.mark(ids * n + chunk_roots)
             member_ids = [ids]
             member_nodes = [chunk_roots]
-            touch_frags: list[np.ndarray] = [coin_keys]
+            touch_frags = [coins.touched_keys()] if track else []
             frontier_set, frontier_node = ids, chunk_roots
             while frontier_node.size:
                 b_adopted = (
@@ -339,15 +322,11 @@ class RRSimGenerator(RRSetGenerator):
                     break
                 if world is None:
                     live = gen.random(flat.size) < in_prob[flat]
-                    if coin_keys.size or track:
+                    if coins.size or track:
                         ekey = grow_set[reps] * m + in_eid[flat]
-                        if coin_keys.size:
-                            # Reuse any coin Phase II already flipped for
-                            # the same (world, edge) pair.
-                            pos = np.searchsorted(coin_keys, ekey)
-                            pos_clipped = np.minimum(pos, coin_keys.size - 1)
-                            seen = coin_keys[pos_clipped] == ekey
-                            live[seen] = coin_vals[pos_clipped[seen]]
+                        # Reuse any coin Phase II already flipped for the
+                        # same (world, edge) pair.
+                        coins.replay(ekey, live)
                         if track:
                             touch_frags.append(ekey)
                 else:

@@ -19,7 +19,7 @@ Batched fast path
 :meth:`RRSimPlusGenerator.generate_batch` keeps Algorithm 3's structure at
 chunk scale: one level-synchronous *unconditional* reverse sweep from all
 chunk roots (recording every edge coin it flips into a
-:class:`~repro.rrset.pool.ChunkCoinMemo`), then — only for the chunk
+:class:`~repro.rrset.sweep.ChunkCoinMemo`), then — only for the chunk
 members whose reachable set actually touched a B-seed — a residual
 Phase-II forward sweep seeded from exactly the touched (member, seed)
 pairs, and finally RR-SIM's Phase-III backward sweep.  Phases II and III
@@ -36,30 +36,27 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import (
-    ChunkCoinMemo,
-    RRSetPool,
-    expand_csr,
-    flatten_members,
-    touches_from_keys,
-    unique_keys,
-)
+from repro.rrset.pool import RRSetPool
 from repro.rrset.rr_sim import (
     _B_ADOPTED,
-    _B_FAIL,
-    _B_PASS,
-    _COIN_BUDGET,
     backward_search_a,
     check_rr_sim_regime,
     forward_label_b_adopted,
+    forward_label_b_batch,
 )
-from repro.rrset.sweep import make_flags, make_values
+from repro.rrset.sweep import (
+    ChunkCoinMemo,
+    adaptive_chunk,
+    flatten_members,
+    make_state,
+    touches_from_keys,
+)
 
 
 class RRSimPlusGenerator(RRSetGenerator):
@@ -126,61 +123,6 @@ class RRSimPlusGenerator(RRSetGenerator):
             b_adopted = set()
         return backward_search_a(self._graph, world, self._gaps, root, b_adopted)
 
-    # ------------------------------------------------------------------
-    # Batched fast path (see module docstring)
-    # ------------------------------------------------------------------
-    def _phase2_residual(
-        self,
-        init_keys: np.ndarray,
-        b_state,
-        coins: ChunkCoinMemo,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-    ) -> None:
-        """Forward B-labeling from the in-scope (member, seed) pairs only.
-
-        The RR-SIM Phase-II sweep, except that edge coins go through the
-        shared memo: sweep 1 already flipped the coins inside each
-        member's reachable set, and re-testing them here must replay those
-        outcomes exactly as the oracle's memoised source does.
-        """
-        graph = self._graph
-        n, m = graph.num_nodes, graph.num_edges
-        q_b = self._gaps.q_b
-        out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
-        frontier = init_keys
-        while frontier.size:
-            fmember, fnode = np.divmod(frontier, n)
-            reps, flat = expand_csr(out_indptr, fnode)
-            if flat.size == 0:
-                break
-            if world is None:
-                live = coins.lookup_or_draw(
-                    fmember[reps] * m + out_eid[flat], out_prob[flat], gen
-                )
-            else:
-                live = world.live[out_eid[flat]]
-            key = fmember[reps[live]] * n + out_dst[flat[live]]
-            if key.size == 0:
-                break
-            key = unique_keys(key)
-            st = b_state.get(key)
-            idle = (st & _B_ADOPTED) == 0
-            key, st = key[idle], st[idle]
-            if key.size == 0:
-                break
-            if world is None:
-                unknown = (st & (_B_PASS | _B_FAIL)) == 0
-                if unknown.any():
-                    passes = gen.random(int(unknown.sum())) < q_b
-                    st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
-                adopt = (st & _B_PASS) != 0
-                b_state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
-            else:
-                adopt = world.alpha_b[key % n] < q_b
-                b_state.put(key[adopt], _B_ADOPTED)
-            frontier = key[adopt]
-
     def generate_batch(
         self,
         count: int,
@@ -229,7 +171,7 @@ class RRSimPlusGenerator(RRSetGenerator):
             # (the oracle's T1), recording every liveness coin it flips —
             # each target node is dequeued at most once, so each in-edge
             # is a first flip.
-            visited = make_flags(b, n, backend)
+            visited = make_state(b, n, backend)
             visited.mark(root_keys)
             frontier = root_keys
             while frontier.size:
@@ -238,9 +180,9 @@ class RRSimPlusGenerator(RRSetGenerator):
                 if flat.size == 0:
                     break
                 if world is None:
-                    keys = fmember[reps] * m + in_eid[flat]
-                    live = gen.random(keys.size) < in_prob[flat]
-                    coins.record(keys, live)
+                    live = coins.draw(
+                        fmember[reps] * m + in_eid[flat], in_prob[flat], gen
+                    )
                 else:
                     live = world.live[in_eid[flat]]
                 tkeys = visited.mark_new(
@@ -250,18 +192,23 @@ class RRSimPlusGenerator(RRSetGenerator):
                     break
                 frontier = tkeys
             # Residual forward labeling, only where T1 saw a B-seed (the
-            # point of Algorithm 3: skip EPT_F when B cannot matter).
-            b_state = make_values(b, n, np.int8, backend)
+            # point of Algorithm 3: skip EPT_F when B cannot matter).  Its
+            # coins go through the memo: sweep 1 already flipped those
+            # inside each member's reachable set, and re-testing them must
+            # replay them exactly as the oracle's memoised source does.
+            b_state = make_state(b, n, backend, np.int8)
             if seeds.size:
                 seed_keys = ids[:, None] * n + seeds[None, :]
                 init = seed_keys[visited.get(seed_keys)]
                 if init.size:
-                    b_state.put(init, _B_ADOPTED)
-                    self._phase2_residual(init, b_state, coins, gen, world)
+                    forward_label_b_batch(
+                        graph, gaps.q_b, init, b_state,
+                        coins.lookup_or_draw, gen, world,
+                    )
             # Sweep 2: RR-SIM's Phase III; confined to T1 by construction
             # (it expands along exactly the live in-edges sweep 1 already
             # certified, replayed through the memo).
-            visited2 = make_flags(b, n, backend)
+            visited2 = make_state(b, n, backend)
             visited2.mark(root_keys)
             member_ids = [ids]
             member_nodes = [chunk_roots]
@@ -308,6 +255,5 @@ class RRSimPlusGenerator(RRSetGenerator):
                 touch_edges=touch_edges,
                 touch_lengths=touch_lengths,
             )
-            coins_per_member = max(coins.size / b, 1.0)
-            chunk = int(np.clip(_COIN_BUDGET / coins_per_member, 1, max_chunk))
+            chunk = adaptive_chunk(coins.size, b, max_chunk)
         return pool

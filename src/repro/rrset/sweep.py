@@ -1,49 +1,49 @@
-"""Shared sweep engine: chunk state backends for the batched RR kernels.
+"""Shared sweep engine: chunk state and key primitives of the batched RR kernels.
 
 Every batched RR-set kernel (RR-IC, RR-LT, RR-SIM, RR-SIM+, RR-CIM,
 RR-Block) runs the same level-synchronous machinery: flat ``(chunk
-member, node) -> member * n + node`` keys over per-chunk state arrays
-(visited bitmaps, B-state bit flags, RR-CIM's uint8 bitfield),
-``expand_csr`` frontier fan-outs, bulk coin draws and ``unique_keys``
-dedup.  Before this module each kernel owned a private copy of that
-machinery with a hardcoded dense state layout: one ``numpy`` array of
-``chunk * num_nodes`` entries per state, so the chunk size is
-``state_budget // num_nodes`` and collapses to single-digit members on
-multi-million-node graphs — exactly where batching matters most.
+member, node) -> member * n + node`` keys over per-chunk state (visited
+bitmaps, B-state bit flags, RR-CIM's uint8 bitfield),
+:func:`~repro.graph.digraph.expand_csr` frontier fan-outs, bulk coin
+draws, :func:`unique_keys` dedup and, in the richer kernels, a memo of
+``(member, edge) -> member * m + edge`` liveness coins
+(:class:`ChunkCoinMemo`).  This module is the one home of that
+machinery; :mod:`repro.rrset.pool` only stores the finished sets.
 
-This module extracts the shared pieces behind two interchangeable state
-backends:
+Per-chunk state comes in two interchangeable layouts:
 
-* **dense** — the existing flat array.  O(1) gathers/scatters, memory
-  ``chunk * num_nodes`` bytes per state; right for small graphs where
-  the array fits comfortably and sweeps touch a large fraction of it.
-* **sparse** — a sorted ``member * n + node`` key array (plus a parallel
-  value column for non-boolean states), the same layout as
-  :class:`~repro.rrset.pool.ChunkCoinMemo`.  Gathers are bulk
-  ``searchsorted`` lookups and updates are two-way merges, so memory
-  scales with the nodes a chunk's sweeps actually *touch* rather than
+* :class:`DenseState` — a flat array of ``chunk * num_nodes`` entries.
+  O(1) gathers/scatters; right for small graphs where the array fits
+  comfortably and sweeps touch a large fraction of it.
+* :class:`SparseState` — sorted int64 keys (plus a parallel value
+  column unless the state is boolean).  Gathers are bulk
+  ``searchsorted`` lookups and insertions two-way merges, so memory
+  scales with the keys a chunk's sweeps actually *touch* rather than
   with ``chunk * num_nodes`` — on a million-node graph a chunk of
-  thousands of members costs megabytes instead of gigabytes.
+  thousands of members costs megabytes instead of gigabytes.  It keeps
+  two tiers: a lazily sorted *base* fed by the :meth:`~SparseState.record`
+  fast lane (append-only fragments, one sort when first read) and an
+  *overlay* that takes every other insertion, so an insertion never
+  rewrites the base.  The coin memo is the same store over edge keys.
 
-Backends are *operation-equivalent*: both resolve the same test-and-set
-(:meth:`FlagState.mark_new`), gather and scatter semantics, and neither
-consumes randomness, so a kernel produces bit-identical output under
-either backend (``tests/rrset/test_sweep.py`` pins this across all six
-regimes).  :class:`SweepConfig` selects the backend automatically by
-node count (``auto``), centralizes the per-chunk state budget that used
-to be a per-kernel hardcoded constant, and warns instead of silently
-degrading when a dense chunk collapses.
+Layouts are *operation-equivalent*: both resolve the same test-and-set
+(:meth:`~SparseState.mark_new`), gather and scatter semantics, and
+neither consumes randomness, so a kernel produces bit-identical output
+under either layout (``tests/rrset/test_sweep.py`` pins this across all
+six regimes).  :class:`SweepConfig` selects the layout automatically by
+node count (``auto``), centralizes the per-chunk state budget, and warns
+instead of silently degrading when a dense chunk collapses;
+:func:`adaptive_chunk` is the one rule that re-sizes chunks from the
+observed coin-memo load.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
-
-from repro.rrset.pool import unique_keys
 
 #: default per-chunk state budget (bytes) shared by every kernel — the
 #: one knob that replaces the per-kernel ``16 << 20`` / ``~64MB``
@@ -171,38 +171,135 @@ class SweepConfig:
 #: ``EngineConfig`` (see ``ComICSession._pool_entry``).
 DEFAULT_SWEEP = SweepConfig()
 
+#: Target entries of one chunk's coin memo.  The memo grows with the
+#: region a world's sweeps explore, which is only known after sampling,
+#: so the memo kernels start with a modest probe chunk and re-size each
+#: next chunk from the observed coins per member (:func:`adaptive_chunk`).
+_COIN_BUDGET = 16 << 20
 
-def _merge_unique_sorted(base: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Merge sorted-unique ``fresh`` (disjoint from ``base``) into ``base``.
 
-    The manual O(total) two-way merge of
-    :meth:`~repro.rrset.pool.ChunkCoinMemo.lookup_or_draw` — ``np.insert``
-    pays far too much per-call overhead on sweep-level cadence.
+def adaptive_chunk(memo_size: int, members: int, max_chunk: int) -> int:
+    """Members of the next chunk so its coin memo stays near the budget.
+
+    ``memo_size`` coins were recorded for the ``members`` of the chunk
+    just sampled; ``max_chunk`` is the state-budget ceiling from
+    :meth:`SweepConfig.chunk_size`.
     """
-    if base.size == 0:
-        return fresh.astype(np.int64, copy=True)
-    pos = np.searchsorted(base, fresh) + np.arange(fresh.size, dtype=np.int64)
-    out = np.empty(base.size + fresh.size, dtype=np.int64)
-    out[pos] = fresh
-    old = np.ones(out.size, dtype=bool)
-    old[pos] = False
-    out[old] = base
-    return out
+    per_member = max(memo_size / members, 1.0)
+    return int(np.clip(_COIN_BUDGET / per_member, 1, max_chunk))
 
 
-class DenseFlags:
-    """Boolean per-(member, node) state over a flat dense array."""
+# ----------------------------------------------------------------------
+# Key primitives
+# ----------------------------------------------------------------------
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer key array.
+
+    Drop-in for ``np.unique`` on the sweeps' ``world * n + node`` keys —
+    a plain sort + neighbour-comparison, which is an order of magnitude
+    faster than ``np.unique``'s generic path on these workloads.
+    """
+    if keys.size <= 1:
+        return keys.copy()
+    ordered = np.sort(keys)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique, inverse)`` of an integer key array via one sort.
+
+    ``unique`` is sorted-distinct and ``unique[inverse]`` reconstructs
+    ``keys`` — the fast replacement for ``np.unique(..,
+    return_inverse=True)`` that the batched sweeps use when several lanes
+    of one chunk may query the same memoised world variable in a single
+    bulk call (a coin or threshold must be drawn once per distinct key).
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(ordered.size, dtype=bool)
+    if ordered.size:
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(keys.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def flatten_members(
+    member_sets: Sequence[np.ndarray],
+    member_ids: Sequence[np.ndarray],
+    count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regroup level-order ``(set_id, node)`` fragments into packed sets.
+
+    The batched generators discover members level-by-level: each sweep
+    level yields parallel arrays of set ids and nodes.  This helper
+    concatenates all levels, stably sorts by set id and returns
+    ``(nodes, lengths)`` ready for
+    :meth:`~repro.rrset.pool.RRSetPool.append_flat` — including length-0
+    entries for sets that produced no members.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if not member_ids:
+        return np.empty(0, dtype=np.int32), np.zeros(count, dtype=np.int64)
+    ids = np.concatenate([np.asarray(a) for a in member_ids])
+    nodes = np.concatenate([np.asarray(a) for a in member_sets])
+    order = np.argsort(ids, kind="stable")
+    lengths = np.bincount(ids, minlength=count).astype(np.int64)
+    return nodes[order].astype(np.int32, copy=False), lengths
+
+
+def touches_from_keys(
+    keys: np.ndarray, num_edges: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split sorted distinct ``member * num_edges + edge`` keys into the
+    packed per-member touch rows
+    :meth:`~repro.rrset.pool.RRSetPool.append_flat` expects.
+
+    Returns ``(touch_edges, touch_lengths)``: the flat ``int32`` edge-id
+    column (grouped by member, ascending within each) and one length per
+    chunk member — including zeros for members whose sweep flipped no
+    coins.
+    """
+    if keys.size == 0:
+        return np.empty(0, dtype=np.int32), np.zeros(count, dtype=np.int64)
+    member, eid = np.divmod(keys, num_edges)
+    lengths = np.bincount(member, minlength=count).astype(np.int64)
+    return eid.astype(np.int32), lengths
+
+
+# ----------------------------------------------------------------------
+# Chunk state
+# ----------------------------------------------------------------------
+class DenseState:
+    """Per-(member, node) state over a flat dense array of ``size`` entries.
+
+    A ``bool`` state is a flag set (:meth:`mark`, :meth:`mark_new`); a
+    small-integer state holds values (:meth:`put`, :meth:`or_`).
+    """
 
     kind = "dense"
 
     __slots__ = ("_a",)
 
-    def __init__(self, lanes: int, num_nodes: int) -> None:
-        self._a = np.zeros(int(lanes) * int(num_nodes), dtype=bool)
+    def __init__(self, size: int, dtype=bool) -> None:
+        self._a = np.zeros(int(size), dtype=dtype)
 
     def get(self, keys: np.ndarray) -> np.ndarray:
-        """Flag value of every key (shape-preserving gather)."""
+        """State of every key (shape-preserving gather; 0 where unset)."""
         return self._a[keys]
+
+    def put(self, keys: np.ndarray, vals) -> None:
+        """Scatter ``vals`` at ``keys``; keys must be distinct."""
+        self._a[keys] = vals
+
+    def or_(self, keys: np.ndarray, flags) -> None:
+        """Bitwise-OR ``flags`` into the state at distinct ``keys``."""
+        self._a[keys] |= flags
 
     def mark(self, keys: np.ndarray) -> None:
         """Set the flag at ``keys`` (duplicates allowed)."""
@@ -212,7 +309,7 @@ class DenseFlags:
         """Test-and-set: mark and return the sorted distinct fresh keys.
 
         The sweeps' dedup step — ``key[~visited[key]]`` then
-        ``unique_keys`` then scatter — as one backend operation.
+        ``unique_keys`` then scatter — as one state operation.
         """
         keys = keys[~self._a[keys]]
         if keys.size == 0:
@@ -227,162 +324,269 @@ class DenseFlags:
         return self._a.nbytes
 
 
-class SparseFlags:
-    """Boolean per-(member, node) state as a sorted touched-key array.
+class SparseState:
+    """Per-key state as sorted int64 keys in a base and an overlay tier.
 
-    Memory is 8 bytes per *touched* key, independent of ``num_nodes``.
+    Same operations as :class:`DenseState`, over keys of any range.  A
+    ``bool`` state stores keys only — a key is set iff present, 8 bytes
+    per touched key; other dtypes add a parallel value column
+    (``8 + itemsize`` bytes per key) and read 0 where never written.
+    Keys passed to :meth:`put` / :meth:`or_` must be distinct within one
+    call; repeats within :meth:`get` / :meth:`mark` calls are fine.
     """
 
     kind = "sparse"
 
-    __slots__ = ("_keys",)
+    __slots__ = ("_dtype", "_tiers", "_pending", "_pending_size")
 
-    def __init__(self, lanes: int, num_nodes: int) -> None:
-        self._keys = np.empty(0, dtype=np.int64)
-
-    def get(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys)
-        if self._keys.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return self._keys[pos] == keys
-
-    def mark(self, keys: np.ndarray) -> None:
-        if np.asarray(keys).size == 0:
-            return
-        ukeys = unique_keys(np.asarray(keys).ravel())
-        fresh = ukeys[~self.get(ukeys)]
-        if fresh.size:
-            self._keys = _merge_unique_sorted(self._keys, fresh)
-
-    def mark_new(self, keys: np.ndarray) -> np.ndarray:
-        if keys.size == 0:
-            return np.asarray(keys, dtype=np.int64)
-        ukeys = unique_keys(np.asarray(keys))
-        fresh = ukeys[~self.get(ukeys)]
-        if fresh.size:
-            self._keys = _merge_unique_sorted(self._keys, fresh)
-        return fresh
-
-    @property
-    def nbytes(self) -> int:
-        return self._keys.nbytes
-
-
-class DenseValues:
-    """Small-integer per-(member, node) state over a flat dense array."""
-
-    kind = "dense"
-
-    __slots__ = ("_a",)
-
-    def __init__(self, lanes: int, num_nodes: int, dtype) -> None:
-        self._a = np.zeros(int(lanes) * int(num_nodes), dtype=dtype)
-
-    def get(self, keys: np.ndarray) -> np.ndarray:
-        """State value of every key (0 where never written)."""
-        return self._a[keys]
-
-    def put(self, keys: np.ndarray, vals) -> None:
-        """Scatter ``vals`` at ``keys``; keys must be distinct."""
-        self._a[keys] = vals
-
-    def or_(self, keys: np.ndarray, flags) -> None:
-        """Bitwise-OR ``flags`` into the state at distinct ``keys``."""
-        self._a[keys] |= flags
-
-    @property
-    def nbytes(self) -> int:
-        return self._a.nbytes
-
-
-class SparseValues:
-    """Small-integer per-(member, node) state as sorted keys + values.
-
-    Memory is ``8 + itemsize`` bytes per *touched* key.  Keys passed to
-    :meth:`put` / :meth:`or_` must be distinct within one call (the
-    sweeps' keys come out of ``unique_keys``); repeats within a
-    :meth:`get` call are fine.
-    """
-
-    kind = "sparse"
-
-    __slots__ = ("_dtype", "_keys", "_vals")
-
-    def __init__(self, lanes: int, num_nodes: int, dtype) -> None:
+    def __init__(self, dtype=bool) -> None:
         self._dtype = np.dtype(dtype)
-        self._keys = np.empty(0, dtype=np.int64)
-        self._vals = np.empty(0, dtype=self._dtype)
+        empty = (
+            None if self._dtype == np.bool_ else np.empty(0, dtype=self._dtype)
+        )
+        # [base, overlay], each [sorted keys, values or None].
+        self._tiers = [
+            [np.empty(0, dtype=np.int64), empty],
+            [np.empty(0, dtype=np.int64), empty],
+        ]
+        self._pending: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
+        self._pending_size = 0
+
+    @property
+    def size(self) -> int:
+        """Number of keys held (distinct keys ever written)."""
+        return (
+            self._tiers[0][0].size + self._tiers[1][0].size + self._pending_size
+        )
+
+    def record(self, keys: np.ndarray, vals=None) -> None:
+        """Append previously-unseen keys to the base without a lookup.
+
+        The fast lane for sweep phases that can never re-test a key:
+        fragments accumulate as-is and are sorted into the base in one
+        pass when the state is next read.  Callers must guarantee the
+        keys are distinct from each other and from everything held.
+        """
+        if keys.size:
+            self._pending.append((keys, vals))
+            self._pending_size += keys.size
+
+    def _read_tiers(self) -> list:
+        if self._pending:
+            base = self._tiers[0]
+            keys = np.concatenate([base[0], *(k for k, _ in self._pending)])
+            order = np.argsort(keys, kind="stable")
+            base[0] = keys[order]
+            if base[1] is not None:
+                vals = np.concatenate([base[1], *(v for _, v in self._pending)])
+                base[1] = vals[order]
+            self._pending.clear()
+            self._pending_size = 0
+        return self._tiers
+
+    def _find(self, tier_keys: np.ndarray, keys: np.ndarray):
+        pos = np.minimum(np.searchsorted(tier_keys, keys), tier_keys.size - 1)
+        return pos, tier_keys[pos] == keys
 
     def get(self, keys: np.ndarray) -> np.ndarray:
+        """State of every key (shape-preserving; unset keys read 0)."""
         keys = np.asarray(keys)
         out = np.zeros(keys.shape, dtype=self._dtype)
-        if self._keys.size:
-            pos = np.minimum(
-                np.searchsorted(self._keys, keys), self._keys.size - 1
-            )
-            hit = self._keys[pos] == keys
-            out[hit] = self._vals[pos[hit]]
+        for tier_keys, tier_vals in self._read_tiers():
+            if tier_keys.size:
+                pos, hit = self._find(tier_keys, keys)
+                if tier_vals is None:
+                    out |= hit
+                else:
+                    out[hit] = tier_vals[pos[hit]]
         return out
 
+    def insert(self, keys: np.ndarray, vals=None) -> None:
+        """Merge sorted distinct keys known to be absent into the overlay.
+
+        A manual O(overlay) two-way merge — ``np.insert`` pays far too
+        much per-call overhead on sweep-level cadence.
+        """
+        overlay = self._tiers[1]
+        old_keys, old_vals = overlay
+        pos = np.searchsorted(old_keys, keys) + np.arange(
+            keys.size, dtype=np.int64
+        )
+        total = old_keys.size + keys.size
+        old = np.ones(total, dtype=bool)
+        old[pos] = False
+        merged = np.empty(total, dtype=np.int64)
+        merged[pos] = keys
+        merged[old] = old_keys
+        overlay[0] = merged
+        if old_vals is not None:
+            merged = np.empty(total, dtype=self._dtype)
+            merged[pos] = vals
+            merged[old] = old_vals
+            overlay[1] = merged
+
     def put(self, keys: np.ndarray, vals) -> None:
+        """Write ``vals`` at distinct ``keys`` (value states only)."""
         keys = np.asarray(keys)
         if keys.size == 0:
             return
         vals = np.broadcast_to(np.asarray(vals, dtype=self._dtype), keys.shape)
         order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        svals = vals[order]
-        if self._keys.size:
-            pos = np.minimum(
-                np.searchsorted(self._keys, skeys), self._keys.size - 1
-            )
-            hit = self._keys[pos] == skeys
-            if hit.any():
-                self._vals[pos[hit]] = svals[hit]
-            miss = ~hit
-            skeys = skeys[miss]
-            svals = svals[miss]
-        if skeys.size:
-            pos = np.searchsorted(self._keys, skeys) + np.arange(
-                skeys.size, dtype=np.int64
-            )
-            total = self._keys.size + skeys.size
-            merged_keys = np.empty(total, dtype=np.int64)
-            merged_vals = np.empty(total, dtype=self._dtype)
-            merged_keys[pos] = skeys
-            merged_vals[pos] = svals
-            old = np.ones(total, dtype=bool)
-            old[pos] = False
-            merged_keys[old] = self._keys
-            merged_vals[old] = self._vals
-            self._keys = merged_keys
-            self._vals = merged_vals
+        keys = keys[order]
+        vals = vals[order]
+        miss = np.ones(keys.size, dtype=bool)
+        for tier_keys, tier_vals in self._read_tiers():
+            if tier_keys.size:
+                pos, hit = self._find(tier_keys, keys)
+                tier_vals[pos[hit]] = vals[hit]
+                miss &= ~hit
+        if miss.any():
+            self.insert(keys[miss], vals[miss])
 
     def or_(self, keys: np.ndarray, flags) -> None:
+        """Bitwise-OR ``flags`` into the state at distinct ``keys``."""
         keys = np.asarray(keys)
         if keys.size == 0:
             return
         self.put(keys, self.get(keys) | np.asarray(flags, dtype=self._dtype))
 
+    def mark(self, keys: np.ndarray) -> None:
+        """Set the flag at ``keys`` (``bool`` states; duplicates allowed)."""
+        self.mark_new(np.asarray(keys).ravel())
+
+    def mark_new(self, keys: np.ndarray) -> np.ndarray:
+        """Test-and-set: mark and return the sorted distinct fresh keys."""
+        if keys.size == 0:
+            return np.asarray(keys, dtype=np.int64)
+        keys = unique_keys(np.asarray(keys))
+        fresh = keys[~self.get(keys)]
+        if fresh.size:
+            self.insert(fresh)
+        return fresh
+
+    def keys(self) -> np.ndarray:
+        """Sorted distinct keys held, across both tiers.
+
+        May be the store's own key array (tiers are replaced, never
+        written in place), so callers must not modify it.
+        """
+        (base, _), (overlay, _) = self._read_tiers()
+        if not overlay.size:
+            return base
+        if not base.size:
+            return overlay
+        return np.sort(np.concatenate([base, overlay]))
+
     @property
     def nbytes(self) -> int:
-        return self._keys.nbytes + self._vals.nbytes
+        """Bytes of keys and values held right now."""
+        arrays = [a for tier in self._tiers for a in tier]
+        arrays += [a for frag in self._pending for a in frag]
+        return sum(a.nbytes for a in arrays if a is not None)
 
 
-def make_flags(lanes: int, num_nodes: int, backend: str):
-    """A boolean state over ``lanes * num_nodes`` keys on ``backend``."""
+def make_state(lanes: int, num_nodes: int, backend: str, dtype=bool):
+    """A per-(member, node) state over ``lanes * num_nodes`` keys.
+
+    ``backend`` must be resolved (``"dense"`` or ``"sparse"``, see
+    :meth:`SweepConfig.resolve_backend`); ``dtype`` ``bool`` makes a flag
+    set, a small integer dtype a value state.
+    """
     if backend == "sparse":
-        return SparseFlags(lanes, num_nodes)
+        return SparseState(dtype)
     if backend == "dense":
-        return DenseFlags(lanes, num_nodes)
+        return DenseState(int(lanes) * int(num_nodes), dtype)
     raise ValueError(f"unknown resolved backend {backend!r}")
 
 
-def make_values(lanes: int, num_nodes: int, dtype, backend: str):
-    """A small-integer state over ``lanes * num_nodes`` keys on ``backend``."""
-    if backend == "sparse":
-        return SparseValues(lanes, num_nodes, dtype)
-    if backend == "dense":
-        return DenseValues(lanes, num_nodes, dtype)
-    raise ValueError(f"unknown resolved backend {backend!r}")
+# ----------------------------------------------------------------------
+# Coin memo
+# ----------------------------------------------------------------------
+_DEAD = np.uint8(1)
+_LIVE = np.uint8(2)
+
+
+class ChunkCoinMemo:
+    """Memoised per-``(chunk member, edge)`` Bernoulli coins.
+
+    The batched RR-SIM, RR-SIM+, RR-CIM and RR-Block kernels test the
+    same edge from several sub-searches of one world — forward labeling,
+    backward searches, Case-1 secondary searches and Case-4 zig-zag
+    checks — so a coin flipped in one sweep must be replayed by the
+    others, exactly like the oracle's memoised
+    :meth:`~repro.models.sources.WorldSource.edge_live`.
+
+    Keys are ``member * num_edges + edge_id`` in one uint8
+    :class:`SparseState`: 0 = not drawn, 1 = dead, 2 = live.  Sweeps that
+    can never re-test an edge :meth:`record` into the base tier; coins
+    first drawn by :meth:`lookup_or_draw` land in the overlay.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self) -> None:
+        self._state = SparseState(np.uint8)
+
+    @property
+    def size(self) -> int:
+        """Number of memoised coins (distinct keys seen so far)."""
+        return self._state.size
+
+    def record(self, keys: np.ndarray, live: np.ndarray) -> None:
+        """Append coins for previously-unseen keys without a lookup.
+
+        The fast lane for sweep phases that can never re-test an edge
+        (each source node expands at most once, and an edge belongs to
+        exactly one source).  Callers must guarantee the keys are
+        distinct from everything recorded or drawn before.
+        """
+        self._state.record(keys, np.add(live, _DEAD, dtype=np.uint8))
+
+    def draw(
+        self, keys: np.ndarray, probs: np.ndarray, gen: np.random.Generator
+    ) -> np.ndarray:
+        """First flips: one fresh ``Bernoulli(probs)`` coin per key, in
+        order, recorded via :meth:`record` (same contract on ``keys``)."""
+        live = gen.random(keys.size) < probs
+        self.record(keys, live)
+        return live
+
+    def replay(self, keys: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Overwrite ``live`` in place with the memoised coin of every
+        key that has one; returns ``live``.  Records nothing."""
+        coin = self._state.get(keys)
+        seen = coin != 0
+        live[seen] = coin[seen] == _LIVE
+        return live
+
+    def lookup_or_draw(
+        self, keys: np.ndarray, probs: np.ndarray, gen: np.random.Generator
+    ) -> np.ndarray:
+        """Coin value for every key (repeats allowed within one call).
+
+        Known keys replay their memoised value; unseen keys draw a fresh
+        ``Bernoulli(probs)`` coin — once per *distinct* key, in sorted
+        key order — and are recorded for later sweeps.
+        """
+        if keys.size == 0:
+            return np.empty(0, dtype=bool)
+        ukeys, inverse = unique_inverse(keys)
+        coin = self._state.get(ukeys)
+        unseen = np.flatnonzero(coin == 0)
+        if unseen.size:
+            uprobs = np.empty(ukeys.size, dtype=np.float64)
+            uprobs[inverse] = probs  # any occurrence carries the edge's prob
+            coin[unseen] = np.where(
+                gen.random(unseen.size) < uprobs[unseen], _LIVE, _DEAD
+            )
+            self._state.insert(ukeys[unseen], coin[unseen])
+        return (coin == _LIVE)[inverse]
+
+    def touched_keys(self) -> np.ndarray:
+        """Sorted distinct ``member * num_edges + edge`` keys of every coin.
+
+        The chunk's complete edge-touch record: one key per coin the
+        kernel flipped, across all tiers.  Feeds the pool's touch columns
+        via :func:`touches_from_keys` when delta repair is tracking.
+        """
+        return self._state.keys()

@@ -19,9 +19,7 @@ Both phases run on the batched RR-set engine: sampling goes through
 :class:`~repro.rrset.pool.RRSetPool`, widths and coverage statistics are
 ``np.bincount`` passes over the pool, and :func:`greedy_max_coverage`
 invalidates covered sets with vectorized ``np.subtract.at`` updates — so
-selection is O(total RR-set size) with no inner Python loop.  The original
-per-list implementation survives as :func:`greedy_max_coverage_legacy`,
-the oracle the pooled path is tested against.
+selection is O(total RR-set size) with no inner Python loop.
 
 Pure Python cannot afford the paper's million-edge ``theta`` values, so
 ``TIMOptions.max_rr_sets`` caps the sample size (and ``theta_override``
@@ -264,8 +262,7 @@ def greedy_max_coverage(
     invalidating a pick's covered sets decrements all their members with a
     single ``np.subtract.at`` — every flat entry is touched O(1) times, so
     selection is O(total RR-set size + k) after the O(size log size) index
-    build.  Tie-breaking (lowest node id among maxima) matches
-    :func:`greedy_max_coverage_legacy` exactly.
+    build.  Tie-breaking picks the lowest node id among maxima.
 
     ``candidates`` restricts the pickable nodes (the blocking / focal
     multi-item workloads exclude occupied seeds this way); sets are still
@@ -317,54 +314,6 @@ def greedy_max_coverage(
         _reps, flat = expand_csr(indptr, newly, with_reps=False)
         if flat.size:
             np.subtract.at(counts, nodes[flat], 1)
-        counts[best] = -1
-    return seeds, total, gains
-
-
-def greedy_max_coverage_legacy(
-    rr_sets: Sequence[np.ndarray], n: int, k: int, *, candidates=None
-) -> tuple[list[int], int, list[int]]:
-    """The original per-list greedy (inner Python loops).
-
-    Kept as the correctness oracle for :func:`greedy_max_coverage`; both
-    produce identical seeds, coverage and gains on the same input
-    (``candidates`` restriction included).
-    """
-    if k < 0:
-        raise SeedSetError(f"k must be non-negative, got {k}")
-    counts = np.zeros(n, dtype=np.int64)
-    index: dict[int, list[int]] = {}
-    for set_id, rr_set in enumerate(rr_sets):
-        for node in rr_set:
-            node = int(node)
-            counts[node] += 1
-            index.setdefault(node, []).append(set_id)
-    picks = min(k, n)
-    if candidates is not None:
-        cand = _candidate_array(candidates, n)
-        allowed = np.zeros(n, dtype=bool)
-        allowed[cand] = True
-        counts[~allowed] = -1
-        picks = min(k, int(cand.size))
-    covered = np.zeros(len(rr_sets), dtype=bool)
-    seeds: list[int] = []
-    gains: list[int] = []
-    total = 0
-    for _ in range(picks):
-        best = int(np.argmax(counts))
-        gain = int(counts[best])
-        seeds.append(best)
-        gains.append(gain)
-        total += gain
-        if gain == 0:
-            counts[best] = -1
-            continue
-        for set_id in index.get(best, ()):  # invalidate covered sets
-            if covered[set_id]:
-                continue
-            covered[set_id] = True
-            for node in rr_sets[set_id]:
-                counts[int(node)] -= 1
         counts[best] = -1
     return seeds, total, gains
 

@@ -1,7 +1,7 @@
 """API-surface snapshots: ``__all__`` changes must be deliberate.
 
-Pins ``repro.__all__``, ``repro.api.__all__`` and
-``repro.algorithms.__all__``.  If a test here fails you probably added,
+Pins ``repro.__all__``, ``repro.api.__all__``, ``repro.algorithms.__all__``
+and ``repro.rrset.__all__``.  If a test here fails you probably added,
 renamed or removed a public name.  That can be the right thing to do —
 update the snapshot here *and* the docs (README, DESIGN.md API-layer
 section) in the same change, and bump ``repro.__version__``'s major
@@ -13,6 +13,7 @@ import pytest
 import repro
 import repro.algorithms
 import repro.api
+import repro.rrset
 
 EXPECTED_TOP_LEVEL_ALL = [
     "ActionLogError",
@@ -64,6 +65,35 @@ EXPECTED_ALGORITHMS_ALL = [
     "vanilla_ic_seeds",
 ]
 
+EXPECTED_RRSET_ALL = [
+    "DEFAULT_CHUNK_STATE_BYTES",
+    "IMMOptions",
+    "IMMResult",
+    "RRBlockGenerator",
+    "RRCimGenerator",
+    "RRICGenerator",
+    "RRLTGenerator",
+    "RRSetGenerator",
+    "RRSetPool",
+    "RRSimGenerator",
+    "RRSimPlusGenerator",
+    "RRSimProductGenerator",
+    "RepairReport",
+    "SelectionResult",
+    "SweepConfig",
+    "TIMOptions",
+    "TIMResult",
+    "general_imm",
+    "general_tim",
+    "greedy_max_coverage",
+    "make_state",
+    "repair_pool",
+    "rr_estimate_many",
+    "rr_estimate_objective",
+    "run_seed_selection",
+    "vanilla_lt_seeds",
+]
+
 EXPECTED_ALL = [
     "BlockingQuery",
     "ComICSession",
@@ -113,8 +143,9 @@ def test_all_is_pinned():
     [
         (repro, EXPECTED_TOP_LEVEL_ALL),
         (repro.algorithms, EXPECTED_ALGORITHMS_ALL),
+        (repro.rrset, EXPECTED_RRSET_ALL),
     ],
-    ids=["repro", "repro.algorithms"],
+    ids=["repro", "repro.algorithms", "repro.rrset"],
 )
 def test_package_all_is_pinned(module, expected):
     assert sorted(module.__all__) == expected

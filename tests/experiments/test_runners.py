@@ -81,14 +81,19 @@ class TestTable8:
 
 class TestFigure4:
     def test_runtime_falls_with_epsilon(self, tiny):
+        # Runtime is linear in theta, so the sample count carries the
+        # claim without timing noise.  The larger epsilon's theta must sit
+        # below the cap (here 1452 < 4000; epsilon 1.0 needs 15586 and
+        # clips), or both rows clip to it and compare equal.  A
+        # paper-range pair such as (1.0, 2.0) would need a cap near 12000
+        # (KPT's pilot budget is a quarter of the cap), ~2.5x the runtime.
         result = figure4_epsilon_effect(
-            tiny, epsilons=(0.3, 1.0), max_rr_sets=4000
+            tiny, epsilons=(1.0, 8.0), max_rr_sets=4000
         )
         assert len(result.rows) == 2
         fast = result.rows[-1]
         slow = result.rows[0]
-        assert fast["theta"] <= slow["theta"]
-        assert fast["rr_sim_time_s"] <= slow["rr_sim_time_s"] * 1.5
+        assert fast["theta"] < slow["theta"]
 
 
 class TestFigure5:

@@ -37,9 +37,9 @@ from repro.rrset import (
     RRSimGenerator,
     RRSimPlusGenerator,
     greedy_max_coverage,
-    greedy_max_coverage_legacy,
 )
 from repro.rrset.rr_cim import forward_label_a_status
+from tests.rrset._greedy_reference import greedy_max_coverage_legacy
 
 GAPS_ONE_WAY = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.5, q_b_given_a=0.5)
 GAPS_CIM = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.5, q_b_given_a=1.0)
@@ -320,7 +320,7 @@ class TestPooledGreedyParity:
         graph = power_law_digraph(80, average_degree=4.0, probability=0.3, rng=2)
         pool = RRICGenerator(graph).generate_batch(800, rng=3)
         pooled = greedy_max_coverage(pool, 80, 8)
-        legacy = greedy_max_coverage_legacy(pool.to_list(), 80, 8)
+        legacy = greedy_max_coverage_legacy(list(pool), 80, 8)
         assert pooled == legacy
 
     def test_k_exceeding_coverable_nodes_never_repeats(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.graph.digraph import expand_csr
 from repro.rrset import RRSetPool
-from repro.rrset.pool import expand_csr, flatten_members
+from repro.rrset.sweep import ChunkCoinMemo, flatten_members, unique_inverse
 
 
 class TestAppend:
@@ -45,8 +46,8 @@ class TestAppend:
     def test_from_sets_round_trip(self):
         sets = [np.array([0, 4]), np.array([2]), np.array([1, 3, 4])]
         pool = RRSetPool.from_sets(5, sets)
-        assert [s.tolist() for s in pool.to_list()] == [s.tolist() for s in sets]
-        assert all(s.dtype == np.int64 for s in pool.to_list())
+        assert [s.tolist() for s in pool] == [s.tolist() for s in sets]
+        assert all(s.dtype == np.int32 for s in pool)
 
     def test_index_out_of_range(self):
         pool = RRSetPool.from_sets(5, [np.array([1])])
@@ -177,7 +178,6 @@ class TestHelpers:
 class TestChunkCoinMemo:
     def test_memoisation_across_calls(self):
         from repro.rng import make_rng
-        from repro.rrset.pool import ChunkCoinMemo
 
         gen = make_rng(0)
         memo = ChunkCoinMemo()
@@ -193,7 +193,6 @@ class TestChunkCoinMemo:
 
     def test_duplicate_keys_within_one_call(self):
         from repro.rng import make_rng
-        from repro.rrset.pool import ChunkCoinMemo
 
         gen = make_rng(3)
         memo = ChunkCoinMemo()
@@ -205,7 +204,6 @@ class TestChunkCoinMemo:
 
     def test_record_then_lookup(self):
         from repro.rng import make_rng
-        from repro.rrset.pool import ChunkCoinMemo
 
         gen = make_rng(1)
         memo = ChunkCoinMemo()
@@ -224,7 +222,6 @@ class TestChunkCoinMemo:
 
     def test_probability_extremes(self):
         from repro.rng import make_rng
-        from repro.rrset.pool import ChunkCoinMemo
 
         gen = make_rng(2)
         memo = ChunkCoinMemo()
@@ -234,9 +231,33 @@ class TestChunkCoinMemo:
         assert out.tolist() == (keys % 2 == 0).tolist()
 
 
+    def test_replay_overrides_only_memoised_keys(self):
+        from repro.rng import make_rng
+
+        memo = ChunkCoinMemo()
+        memo.record(np.array([3, 5], dtype=np.int64), np.array([True, False]))
+        drawn = memo.lookup_or_draw(
+            np.array([8], dtype=np.int64), np.array([1.0]), make_rng(0)
+        )
+        assert drawn.tolist() == [True]
+        live = np.array([False, True, False, True])
+        out = memo.replay(np.array([3, 5, 8, 9], dtype=np.int64), live)
+        assert out is live
+        assert live.tolist() == [True, False, True, True]  # 9 keeps its draw
+        assert memo.size == 3  # replay records nothing
+        assert memo.touched_keys().tolist() == [3, 5, 8]
+
+    def test_pool_module_keeps_the_memo_for_perfbench(self):
+        # perfbench/tracing.py imports the memo from repro.rrset.pool and
+        # patches ChunkCoinMemo.__dict__["lookup_or_draw"] on the class.
+        from repro.rrset import pool
+
+        assert pool.ChunkCoinMemo is ChunkCoinMemo
+        assert callable(pool.ChunkCoinMemo.__dict__["lookup_or_draw"])
+
+
 class TestUniqueInverse:
     def test_roundtrip(self):
-        from repro.rrset.pool import unique_inverse
 
         keys = np.array([5, 1, 5, 9, 1, 1], dtype=np.int64)
         unique, inverse = unique_inverse(keys)
@@ -244,7 +265,6 @@ class TestUniqueInverse:
         assert unique[inverse].tolist() == keys.tolist()
 
     def test_empty(self):
-        from repro.rrset.pool import unique_inverse
 
         unique, inverse = unique_inverse(np.empty(0, dtype=np.int64))
         assert unique.size == 0 and inverse.size == 0

@@ -4,8 +4,9 @@ Three layers of evidence that the sparse chunk-state backend is a pure
 memory-layout change:
 
 * **Backend operations** — randomized op sequences against
-  ``DenseFlags``/``SparseFlags`` and ``DenseValues``/``SparseValues``
-  must agree call-for-call.
+  ``DenseState``/``SparseState``, as flag sets and as value states,
+  must agree call-for-call (the sparse side also through its
+  ``record`` fast lane and both of its tiers).
 * **Fixed-world kernel parity** — all six batched RR kernels, pinned to
   one chunk schedule via ``max_chunk_members`` (the schedule fixes the
   coin-draw order), must emit *bit-identical* pools under either
@@ -40,13 +41,11 @@ from repro.rrset.sweep import (
     DEFAULT_CHUNK_STATE_BYTES,
     DEFAULT_SPARSE_NODES_THRESHOLD,
     DEGENERATE_DENSE_CHUNK,
-    DenseFlags,
-    DenseValues,
-    SparseFlags,
-    SparseValues,
+    DenseState,
+    SparseState,
     SweepConfig,
-    make_flags,
-    make_values,
+    adaptive_chunk,
+    make_state,
 )
 
 GAPS_ONE_WAY = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.5, q_b_given_a=0.5)
@@ -148,9 +147,9 @@ class TestBackendOperationEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flags_agree(self, seed):
         gen = make_rng(seed)
-        dense = make_flags(self.LANES, self.NODES, "dense")
-        sparse = make_flags(self.LANES, self.NODES, "sparse")
-        assert isinstance(dense, DenseFlags) and isinstance(sparse, SparseFlags)
+        dense = make_state(self.LANES, self.NODES, "dense")
+        sparse = make_state(self.LANES, self.NODES, "sparse")
+        assert isinstance(dense, DenseState) and isinstance(sparse, SparseState)
         for _ in range(40):
             op = gen.integers(0, 3)
             keys = self._random_keys(gen, int(gen.integers(0, 50)))
@@ -169,9 +168,9 @@ class TestBackendOperationEquivalence:
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
     def test_values_agree(self, dtype):
         gen = make_rng(13)
-        dense = make_values(self.LANES, self.NODES, dtype, "dense")
-        sparse = make_values(self.LANES, self.NODES, dtype, "sparse")
-        assert isinstance(dense, DenseValues) and isinstance(sparse, SparseValues)
+        dense = make_state(self.LANES, self.NODES, "dense", dtype)
+        sparse = make_state(self.LANES, self.NODES, "sparse", dtype)
+        assert isinstance(dense, DenseState) and isinstance(sparse, SparseState)
         for _ in range(40):
             op = gen.integers(0, 3)
             keys = np.unique(self._random_keys(gen, int(gen.integers(0, 50))))
@@ -188,18 +187,59 @@ class TestBackendOperationEquivalence:
         probe = np.arange(self.LANES * self.NODES)
         assert np.array_equal(dense.get(probe), sparse.get(probe))
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_record_lane_and_overlay_agree(self, dtype):
+        # The sparse base tier takes record() fragments (sorted lazily);
+        # every later write either updates a key in place, in whichever
+        # tier holds it, or merges into the overlay.  Reads must see both.
+        gen = make_rng(21)
+        size = self.LANES * self.NODES
+        dense = make_state(self.LANES, self.NODES, "dense", dtype)
+        sparse = make_state(self.LANES, self.NODES, "sparse", dtype)
+        written = np.zeros(size, dtype=bool)  # keys the sparse side holds
+        for _ in range(30):
+            op = gen.integers(0, 3)
+            if op == 0:
+                # record() promises keys never seen before.
+                keys = gen.permutation(np.flatnonzero(~written))[:20]
+                vals = gen.integers(1, 8, size=keys.size).astype(dtype)
+                dense.put(keys, vals)
+                sparse.record(keys, None if dtype is bool else vals)
+            elif op == 1 and dtype is bool:
+                keys = self._random_keys(gen, 30)
+                assert np.array_equal(dense.mark_new(keys), sparse.mark_new(keys))
+            elif op == 1:
+                keys = np.unique(self._random_keys(gen, 30))
+                vals = gen.integers(0, 8, size=keys.size).astype(dtype)
+                dense.put(keys, vals)
+                sparse.put(keys, vals)
+            else:
+                probe = self._random_keys(gen, 64)
+                assert np.array_equal(dense.get(probe), sparse.get(probe))
+                continue
+            written[keys] = True
+        probe = np.arange(size)
+        assert np.array_equal(dense.get(probe), sparse.get(probe))
+        assert np.array_equal(sparse.keys(), np.flatnonzero(written))
+        assert sparse.size == np.count_nonzero(written)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
-            make_flags(1, 10, "auto")  # must be resolved first
+            make_state(1, 10, "auto")  # must be resolved first
         with pytest.raises(ValueError, match="backend"):
-            make_values(1, 10, np.int8, "mmap")
+            make_state(1, 10, "mmap", np.int8)
+
+    def test_adaptive_chunk_keeps_memo_near_budget(self):
+        assert adaptive_chunk(0, 256, 8192) == 8192  # an empty memo: no cap
+        assert adaptive_chunk(256 * 4096, 256, 8192) == 4096  # 4096 coins each
+        assert adaptive_chunk(10**12, 1, 8192) == 1  # never below one member
 
 
 class TestPeakStateBytes:
     """Sparse state scales with touched keys, dense with chunk * n."""
 
     def test_dense_flags_bytes_are_chunk_times_nodes(self):
-        flags = DenseFlags(16, MILLION)
+        flags = make_state(16, MILLION, "dense")
         assert flags.nbytes == 16 * MILLION
         assert flags.nbytes <= DEFAULT_CHUNK_STATE_BYTES
 
@@ -207,14 +247,14 @@ class TestPeakStateBytes:
         # A 4096-member chunk — 256x the dense ceiling — holds well under
         # the default budget even after touching 100k (member, node) keys,
         # where the dense layout would need 4 GB.
-        flags = SparseFlags(4096, MILLION)
+        flags = make_state(4096, MILLION, "sparse")
         gen = make_rng(0)
         flags.mark(gen.integers(0, 4096 * MILLION, size=100_000))
         assert flags.nbytes <= 8 * 100_000
         assert flags.nbytes < DEFAULT_CHUNK_STATE_BYTES
 
     def test_sparse_values_bytes_track_touched_keys(self):
-        vals = SparseValues(4096, MILLION, np.uint8)
+        vals = make_state(4096, MILLION, "sparse", np.uint8)
         assert vals.nbytes == 0
         keys = np.arange(0, 9_000, 3, dtype=np.int64)
         vals.put(keys, np.ones(keys.size, dtype=np.uint8))

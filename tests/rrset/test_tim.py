@@ -57,7 +57,7 @@ class TestCandidateRestrictedGreedy:
         assert covered == sum(gains)
 
     def test_matches_legacy_with_candidates(self):
-        from repro.rrset import greedy_max_coverage_legacy
+        from tests.rrset._greedy_reference import greedy_max_coverage_legacy
 
         rng = np.random.default_rng(3)
         sets = [
