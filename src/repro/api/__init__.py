@@ -11,10 +11,10 @@ up instead of resample::
     result = session.run(SelfInfMaxQuery(seeds_b=(0, 1), k=10))
     result.seeds, result.estimate, result.diagnostics
 
-The registry (:mod:`repro.api.registry`) makes the layer extensible:
-new workloads bind a query type to a handler and inherit pooling,
-diagnostics and JSON transport.  ``tests/api/test_public_surface.py``
-pins ``__all__`` — extend it deliberately, never accidentally.
+The four workloads are fixed: :data:`repro.api.queries.QUERY_TYPES` maps
+each wire tag to its query class, and the session maps each query class
+to its solver.  ``tests/api/test_public_surface.py`` pins ``__all__`` —
+extend it deliberately, never accidentally.
 """
 
 from repro.api.config import EngineConfig
@@ -34,22 +34,8 @@ from repro.api.queries import (
     CompInfMaxQuery,
     MultiItemQuery,
     SelfInfMaxQuery,
-)
-from repro.api.registry import (
-    MC_ENGINE,
-    ObjectiveSpec,
-    generator_factory,
-    get_spec,
-    known_objectives,
-    known_regimes,
     query_from_dict,
     query_from_json,
-    register,
-    register_regime,
-    resolve,
-    spec_for_query,
-    unregister,
-    unregister_regime,
 )
 from repro.api.results import InfluenceResult
 from repro.api.session import (
@@ -97,9 +83,7 @@ __all__ = [
     "InfluenceResult",
     "InvalidationReason",
     "LearnedGap",
-    "MC_ENGINE",
     "MultiItemQuery",
-    "ObjectiveSpec",
     "PipelineConfig",
     "PipelineDebugDB",
     "PipelineError",
@@ -109,17 +93,7 @@ __all__ = [
     "SelfInfMaxQuery",
     "SessionStats",
     "StageRecord",
-    "generator_factory",
-    "get_spec",
-    "known_objectives",
-    "known_regimes",
     "query_from_dict",
     "query_from_json",
-    "register",
-    "register_regime",
-    "resolve",
     "run_pipeline",
-    "spec_for_query",
-    "unregister",
-    "unregister_regime",
 ]

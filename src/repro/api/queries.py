@@ -15,7 +15,9 @@ The four built-in workloads mirror the paper:
 * :class:`BlockingQuery`    — Appendix B.4, B-seeds suppressing A (Q-);
 * :class:`MultiItemQuery`   — §8 k-item extension (focal or round-robin).
 
-New workloads register their own query type via :mod:`repro.api.registry`.
+A payload's ``objective`` tag names its query class in :data:`QUERY_TYPES`;
+:func:`query_from_dict` / :func:`query_from_json` rebuild any of the four
+from the wire.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ __all__ = [
     "CompInfMaxQuery",
     "BlockingQuery",
     "MultiItemQuery",
+    "QUERY_TYPES",
+    "query_from_dict",
+    "query_from_json",
 ]
 
 
@@ -65,7 +70,8 @@ def _gap_from_dict(data: Optional[Mapping[str, float]]) -> Optional[GAP]:
 class _QueryBase:
     """Shared JSON plumbing; subclasses are frozen dataclasses."""
 
-    #: registry key of the workload; overridden per subclass.
+    #: wire tag of the workload (its :data:`QUERY_TYPES` key); overridden
+    #: per subclass.
     objective: str = ""
 
     def to_dict(self) -> dict[str, Any]:
@@ -277,3 +283,28 @@ class MultiItemQuery(_QueryBase):
             object.__setattr__(
                 self, "candidates", _seed_tuple("candidates", self.candidates)
             )
+
+
+#: The query class of each objective tag.
+QUERY_TYPES: dict[str, type[_QueryBase]] = {
+    cls.objective: cls
+    for cls in (SelfInfMaxQuery, CompInfMaxQuery, BlockingQuery, MultiItemQuery)
+}
+
+
+def query_from_dict(data: Mapping[str, Any]) -> _QueryBase:
+    """Rebuild any query from its tagged ``to_dict`` payload."""
+    tag = data.get("objective")
+    if tag is None:
+        raise QueryError("query payload is missing the 'objective' tag")
+    cls = QUERY_TYPES.get(tag)
+    if cls is None:
+        raise QueryError(
+            f"unknown objective {tag!r}; known: {', '.join(sorted(QUERY_TYPES))}"
+        )
+    return cls.from_dict(data)
+
+
+def query_from_json(payload: str) -> _QueryBase:
+    """Rebuild any query from its ``to_json`` string."""
+    return query_from_dict(json.loads(payload))

@@ -56,7 +56,7 @@ class InfluenceResult:
     allocation, fixed starting seeds included.
     """
 
-    #: registry name of the workload ("selfinfmax", "compinfmax", ...).
+    #: objective tag of the workload ("selfinfmax", "compinfmax", ...).
     objective: str
     #: the selected seed set, in selection order.
     seeds: list[int]

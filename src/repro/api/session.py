@@ -3,7 +3,7 @@
 The session is the serving-layer front end of the reproduction: it owns a
 graph, default GAPs and an :class:`~repro.api.config.EngineConfig`,
 validates them once, and answers declarative queries
-(:mod:`repro.api.queries`) through the workload registry.  Its core
+(:mod:`repro.api.queries`) through one fixed table of solvers.  Its core
 economy is the **pool cache**: every RR-set-backed seed selection runs
 against a cached :class:`~repro.rrset.pool.RRSetPool` keyed by
 
@@ -67,8 +67,14 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from repro.api import registry
+from repro.api import solvers
 from repro.api.config import EngineConfig
+from repro.api.queries import (
+    BlockingQuery,
+    CompInfMaxQuery,
+    MultiItemQuery,
+    SelfInfMaxQuery,
+)
 from repro.api.results import InfluenceResult
 from repro.deadline import Deadline, deadline_scope
 from repro.errors import DeltaError, QueryError, StoreError
@@ -82,12 +88,55 @@ from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
 from repro.rrset.engines import SelectionResult, run_seed_selection
 from repro.rrset.pool import RRSetPool
+from repro.rrset.rr_block import RRBlockGenerator
+from repro.rrset.rr_cim import RRCimGenerator
+from repro.rrset.rr_ic import RRICGenerator
+from repro.rrset.rr_sim import RRSimGenerator
+from repro.rrset.rr_sim_plus import RRSimPlusGenerator
 # The session's cache and the on-disk store share one key type so the two
 # can never disagree about what identifies a pool (it used to be an
 # ad-hoc tuple private to this module).
 from repro.store import PoolKey, PoolStore
 
 StoreLike = Union[PoolStore, str, os.PathLike, None]
+
+#: The solver of each query type: ``(session, query, config, rng) ->
+#: InfluenceResult``.
+_HANDLERS = {
+    SelfInfMaxQuery: solvers.run_selfinfmax,
+    CompInfMaxQuery: solvers.run_compinfmax,
+    BlockingQuery: solvers.run_blocking,
+    MultiItemQuery: solvers.run_multi_item,
+}
+
+#: The generator of each RR-set regime, called as ``(graph, gaps,
+#: opposite_seeds)``; the regime names are the :class:`PoolKey` regimes.
+_GENERATORS = {
+    "rr-ic": lambda graph, gaps, opposite: RRICGenerator(graph),
+    "rr-sim": RRSimGenerator,
+    "rr-sim+": RRSimPlusGenerator,
+    "rr-cim": RRCimGenerator,
+    "rr-block": RRBlockGenerator,
+}
+
+
+def _make_generator(
+    regime: str,
+    graph: DiGraph,
+    gaps: GAP,
+    opposite_seeds: Sequence[int],
+    cfg: EngineConfig,
+) -> RRSetGenerator:
+    """The configured generator of one regime; raises when it is unknown."""
+    factory = _GENERATORS.get(regime)
+    if factory is None:
+        raise QueryError(
+            f"unknown RR-set regime {regime!r}; known: "
+            f"{', '.join(sorted(_GENERATORS))}"
+        )
+    generator = factory(graph, gaps, opposite_seeds)
+    generator.sweep = cfg.sweep_config()
+    return generator
 
 
 @dataclass
@@ -389,7 +438,13 @@ class ComICSession:
                 f"config must be an EngineConfig, got {type(config).__name__}"
             )
         cfg = config if config is not None else self._config
-        spec = registry.resolve(query, cfg.engine)
+        handler = _HANDLERS.get(type(query))
+        if handler is None:
+            raise QueryError(
+                f"no objective registered for query type "
+                f"{type(query).__name__!r}; known: "
+                f"{', '.join(sorted(q.objective for q in _HANDLERS))}"
+            )
         gen = self._rng if rng is None else make_rng(rng)
         sampled_before = self.stats.rr_sets_sampled
         stats_before = self.stats.as_dict()
@@ -397,9 +452,9 @@ class ComICSession:
         started = time.perf_counter()
         if cfg.deadline_s is not None:
             with deadline_scope(Deadline(cfg.deadline_s)):
-                result: InfluenceResult = spec.handler(self, query, cfg, gen)
+                result: InfluenceResult = handler(self, query, cfg, gen)
         else:
-            result = spec.handler(self, query, cfg, gen)
+            result = handler(self, query, cfg, gen)
         self.stats.queries += 1
         result.diagnostics.setdefault("wall_s", time.perf_counter() - started)
         result.diagnostics.setdefault(
@@ -504,11 +559,10 @@ class ComICSession:
         rows: list[dict[str, Any]] = []
         repaired = regenerated = resampled = 0
         for key, entry in list(self._pools.items()):
-            factory = registry.generator_factory(key.regime)
-            generator = factory(
-                effect.graph, GAP(*key.gaps), key.opposite_seeds
+            generator = _make_generator(
+                key.regime, effect.graph, GAP(*key.gaps), key.opposite_seeds,
+                cfg,
             )
-            generator.sweep = cfg.sweep_config()
             report = None
             if churn <= cfg.delta_churn_threshold:
                 report = entry.pool.repair(effect, generator, rng=gen)
@@ -857,9 +911,9 @@ class ComICSession:
         cfg = cfg if cfg is not None else self._config
         entry = self._pools.pop(key, None)
         if entry is None:
-            factory = registry.generator_factory(regime)
-            generator = factory(self._graph, gaps, key.opposite_seeds)
-            generator.sweep = cfg.sweep_config()
+            generator = _make_generator(
+                regime, self._graph, gaps, key.opposite_seeds, cfg
+            )
             pool = self._load_from_store(key)
             entry = _PoolEntry(
                 key,

@@ -1,6 +1,6 @@
 """Workload handlers: the solver cores behind the declarative queries.
 
-Each ``run_*`` function implements one registered objective against a
+Each ``run_*`` function implements one objective against a
 :class:`~repro.api.session.ComICSession`.  All four workloads now have an
 RR-set-backed route through :meth:`ComICSession.select_seeds` (which is
 what buys cross-query pool reuse): SelfInfMax and CompInfMax always take
@@ -8,7 +8,7 @@ it, while blocking and the focal multi-item path take it when their
 query's ``method`` and GAP regime allow (``"rr-block"`` suppression sets,
 or the focal problem's reduction to SelfInfMax with the other item's
 seeds as context) and otherwise run the Monte-Carlo CELF / round-robin
-greedy directly.  The session, via the registry, is their only caller.
+greedy directly.  The session's query-type table is their only caller.
 
 Every handler fills one *diagnostics envelope* so downstream reporting
 can consume results of different workloads uniformly: ``regime`` (the RR
@@ -35,7 +35,6 @@ from repro.api.queries import (
     MultiItemQuery,
     SelfInfMaxQuery,
 )
-from repro.api.registry import MC_ENGINE
 from repro.api.results import CompInfMaxResult, InfluenceResult, SelfInfMaxResult
 from repro.errors import RegimeError, SeedSetError
 from repro.models.gaps import GAP
@@ -45,6 +44,10 @@ from repro.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import ComICSession
+
+#: engine (and regime) name of the Monte-Carlo routes, which never sample
+#: RR-sets.
+MC_ENGINE = "mc"
 
 
 def run_selfinfmax(

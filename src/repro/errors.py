@@ -84,7 +84,7 @@ class QueryError(ReproError):
     """Raised by the declarative query API (:mod:`repro.api`).
 
     Covers malformed queries and configs, unknown objectives / engines /
-    RR-set regimes in the registry, and session misuse (e.g. a query that
+    RR-set regimes, and session misuse (e.g. a query that
     needs GAPs on a session constructed without them).
     """
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional, Union
 
 from repro.api.config import EngineConfig
-from repro.api.registry import query_from_dict
+from repro.api.queries import query_from_dict
 from repro.errors import PipelineError
 
 __all__ = ["PipelineConfig", "EDGE_BACKENDS", "canonical_json", "digest_of"]

@@ -21,43 +21,29 @@ convergence diagnostics here:
 * ``query_results`` — stage-3 answers: seeds, estimate, method/engine,
                       RR-sets sampled, degraded flag, wall time.
 
-The storage discipline is the pool catalog's (SNIPPETS §1): WAL journal +
-``synchronous=NORMAL`` + ``busy_timeout`` so concurrent readers never
-block the writer, thread-local connections, and a schema version pinned
-in ``pipeline_meta``.  Timestamps are ISO-8601 UTC.
+The storage discipline is the pool catalog's (:mod:`repro.sqlitedb`):
+WAL journal + ``synchronous=NORMAL`` + ``busy_timeout`` so concurrent
+readers never block the writer, thread-local connections, and a schema
+version pinned in ``pipeline_meta``.  Timestamps are ISO-8601 UTC.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
-import os
 import sqlite3
-import threading
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from repro.errors import PipelineError
+from repro.sqlitedb import ThreadLocalDB, utc_now_iso
 
 __all__ = ["PipelineDebugDB", "DEBUG_DB_FILE", "SCHEMA_VERSION"]
 
-
-def utc_now_iso() -> str:
-    """Current UTC time as ISO-8601 (the pool catalog's timestamp format).
-
-    Duplicated from :mod:`repro.service.catalog` rather than imported:
-    the service layer imports the pipeline (daemon endpoints), so the
-    pipeline must not import the service layer back.
-    """
-    now = datetime.datetime.now(datetime.timezone.utc)
-    return now.isoformat(timespec="microseconds").replace("+00:00", "Z")
 
 #: debug database file name, inside the pipeline working directory.
 DEBUG_DB_FILE = "pipeline_debug.sqlite"
 
 #: bump on schema changes; recorded in ``pipeline_meta``.
 SCHEMA_VERSION = 1
-
-PathLike = Union[str, os.PathLike]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -137,55 +123,26 @@ CREATE TABLE IF NOT EXISTS pipeline_meta (
 """
 
 
-class PipelineDebugDB:
+class PipelineDebugDB(ThreadLocalDB):
     """The SQLite debug record of one pipeline working directory.
 
-    Thread-safe via one connection per thread (the pool-catalog idiom);
-    process-safe via WAL + ``busy_timeout``.  All writes commit per
+    Thread-safe via one connection per thread; process-safe via WAL +
+    ``busy_timeout`` (see :mod:`repro.sqlitedb`).  All writes commit per
     method call, so a crashed run leaves its ``running`` row behind as
     evidence rather than vanishing.
     """
 
-    def __init__(self, path: PathLike, *, busy_timeout_ms: int = 30_000) -> None:
-        self._path = str(path)
-        self._busy_timeout_ms = int(busy_timeout_ms)
-        self._local = threading.local()
+    SCHEMA = _SCHEMA
+    META_TABLE = "pipeline_meta"
+    SCHEMA_VERSION = SCHEMA_VERSION
 
-    @property
-    def path(self) -> str:
-        """The database file path."""
-        return self._path
-
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            try:
-                conn = sqlite3.connect(
-                    self._path, timeout=self._busy_timeout_ms / 1000.0
-                )
-            except sqlite3.OperationalError as exc:
-                raise PipelineError(
-                    f"cannot open debug database {self._path}: {exc}"
-                ) from exc
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={self._busy_timeout_ms}")
-            conn.executescript(_SCHEMA)
-            conn.execute(
-                "INSERT OR IGNORE INTO pipeline_meta(key, value) VALUES(?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
-            )
-            conn.commit()
-            self._local.conn = conn
-        return conn
-
-    def close(self) -> None:
-        """Close this thread's connection (others close with their threads)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+    def _connect(self) -> sqlite3.Connection:
+        try:
+            return super()._connect()
+        except sqlite3.OperationalError as exc:
+            raise PipelineError(
+                f"cannot open debug database {self._path}: {exc}"
+            ) from exc
 
     def schema_version(self) -> int:
         """The schema version pinned in ``pipeline_meta``."""

@@ -52,8 +52,9 @@ from repro.pipeline.cache import (
     fingerprint_log,
 )
 from repro.pipeline.config import PipelineConfig, digest_of
-from repro.pipeline.db import DEBUG_DB_FILE, PipelineDebugDB, utc_now_iso
+from repro.pipeline.db import DEBUG_DB_FILE, PipelineDebugDB
 from repro.rng import derive_seed
+from repro.sqlitedb import utc_now_iso
 
 __all__ = ["PipelineResult", "StageRecord", "run_pipeline"]
 

@@ -79,6 +79,11 @@ class TIMResult:
 
     seeds: list[int]
     theta: int
+    #: the theta asked for before the ``[min_rr_sets, max_rr_sets]`` clip
+    #: (Eq. (3) from KPT, or ``theta_override``).  Above ``max_rr_sets``
+    #: it marks a run capped below its accuracy target — e.g. when KPT's
+    #: pilot budget ran out and left its fallback of 1.0.
+    theta_required: int
     kpt: float
     coverage: int
     #: ``n * coverage / theta`` — the RR-set estimate of the objective
@@ -373,6 +378,7 @@ def general_tim(
             deadline=deadline,
         )
         theta = compute_theta(n, k, kpt, epsilon=options.epsilon, ell=options.ell)
+    theta_required = int(theta)
     theta = int(np.clip(theta, options.min_rr_sets, options.max_rr_sets))
     if pool is None:
         pool = RRSetPool(n)
@@ -402,6 +408,7 @@ def general_tim(
     return TIMResult(
         seeds=seeds,
         theta=used,
+        theta_required=theta_required,
         kpt=kpt,
         coverage=covered,
         estimated_objective=n * covered / used if used else 0.0,

@@ -29,15 +29,13 @@ database loses counters, never pools.
 
 from __future__ import annotations
 
-import datetime
 import json
 import shutil
-import sqlite3
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import StoreIntegrityError
+from repro.sqlitedb import ThreadLocalDB, utc_now_iso
 from repro.store import PoolKey, PoolManifest, PoolStore
 from repro.store.pool_store import PathLike
 
@@ -76,12 +74,6 @@ CREATE TABLE IF NOT EXISTS catalog_meta (
 """
 
 
-def utc_now_iso() -> str:
-    """Current UTC time as an ISO-8601 string (catalog timestamp format)."""
-    now = datetime.datetime.now(datetime.timezone.utc)
-    return now.isoformat(timespec="microseconds").replace("+00:00", "Z")
-
-
 def _entry_nbytes(manifest: PoolManifest) -> int:
     """On-disk pool bytes an entry costs (column data; headers ignored)."""
     return manifest.total_nodes * 4 + (manifest.num_sets + 1) * 8
@@ -98,54 +90,20 @@ def _manifest_theta(manifest: PoolManifest) -> Optional[int]:
     return None
 
 
-class PoolCatalog:
+class PoolCatalog(ThreadLocalDB):
     """The SQLite index of one pool-store directory.
 
     Thread-safe via one connection per thread; process-safe via WAL mode
-    and ``busy_timeout`` (writers queue instead of erroring).  All
-    mutating methods are single-statement UPSERT/DELETE, atomic under
-    SQLite's own locking.
+    and ``busy_timeout`` (writers queue instead of erroring; see
+    :mod:`repro.sqlitedb`).  All mutating methods are single-statement
+    UPSERT/DELETE, atomic under SQLite's own locking.  NORMAL sync is
+    durable enough for an index that :meth:`reconcile` can rebuild from
+    manifests.
     """
 
-    def __init__(self, path: PathLike, *, busy_timeout_ms: int = 30_000) -> None:
-        self._path = str(path)
-        self._busy_timeout_ms = int(busy_timeout_ms)
-        self._local = threading.local()
-
-    @property
-    def path(self) -> str:
-        """The database file path."""
-        return self._path
-
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(
-                self._path, timeout=self._busy_timeout_ms / 1000.0
-            )
-            conn.row_factory = sqlite3.Row
-            # SNIPPETS §1 pragma set: WAL lets one writer coexist with
-            # readers across processes; NORMAL sync is durable enough for
-            # an index that reconcile() can rebuild from manifests.
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA foreign_keys=ON")
-            conn.execute(f"PRAGMA busy_timeout={self._busy_timeout_ms}")
-            conn.executescript(_SCHEMA)
-            conn.execute(
-                "INSERT OR IGNORE INTO catalog_meta(key, value) VALUES(?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
-            )
-            conn.commit()
-            self._local.conn = conn
-        return conn
-
-    def close(self) -> None:
-        """Close this thread's connection (others close with their threads)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+    SCHEMA = _SCHEMA
+    META_TABLE = "catalog_meta"
+    SCHEMA_VERSION = SCHEMA_VERSION
 
     # ------------------------------------------------------------------
     # Row upkeep

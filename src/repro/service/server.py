@@ -66,11 +66,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from pathlib import Path
 
-from repro.api import ComICSession, EngineConfig, InfluenceResult, registry
+from repro.api import (
+    ComICSession,
+    EngineConfig,
+    InfluenceResult,
+    query_from_dict,
+)
 from repro.errors import (
     ActionLogError,
     DeltaError,
@@ -170,6 +175,51 @@ class _GraphService:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
+#: Session errors a query's client caused (bad knobs, k > n, invalid
+#: GAPs): answered 400, not 500.
+_QUERY_CLIENT_ERRORS = (QueryError, SeedSetError, GapError)
+
+
+def _error_reply(
+    exc: ReproError, client_errors: tuple[type[ReproError], ...]
+) -> tuple[int, dict[str, Any]]:
+    """The reply to a failed request (see :meth:`ComICServer._admitted`)."""
+    if isinstance(exc, ServiceError):
+        return exc.status, {"error": str(exc)}
+    if isinstance(exc, client_errors):
+        return 400, {"error": str(exc)}
+    return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _envelope(
+    payload: Any, required: str, hint: str, optional: set[str]
+) -> Mapping[str, Any]:
+    """Check a POST body's envelope; returns its ``required`` object.
+
+    The body must be a JSON object whose fields are ``required`` plus
+    some of ``optional``, and ``required`` must hold an object.
+    """
+    if not isinstance(payload, Mapping):
+        raise ServiceError(400, "request body must be a JSON object")
+    unknown = set(payload) - optional - {required}
+    if unknown:
+        raise ServiceError(400, f"unknown request fields: {sorted(unknown)}")
+    inner = payload.get(required)
+    if not isinstance(inner, Mapping):
+        raise ServiceError(400, f"request needs a {required!r} object ({hint})")
+    return inner
+
+
+def _seed_of(payload: Mapping[str, Any]) -> Optional[int]:
+    """The request's optional integer ``rng`` seed."""
+    rng = payload.get("rng")
+    if rng is not None and (not isinstance(rng, int) or isinstance(rng, bool)):
+        raise ServiceError(
+            400, "'rng' must be an integer seed (omit for session stream)"
+        )
+    return rng
+
+
 class ComICServer:
     """A multi-graph Com-IC query service.
 
@@ -213,8 +263,8 @@ class ComICServer:
         self._graphs_lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
-        # Drain bookkeeping: every handle_query/handle_delta holds one
-        # unit of _inflight between _begin_request and _end_request;
+        # Drain bookkeeping: every POST handler holds one unit of
+        # _inflight while _admitted runs its work;
         # close() flips _closing and waits on the condition until the
         # count reaches zero.
         self._drain = threading.Condition()
@@ -282,10 +332,10 @@ class ComICServer:
         return self._service(name).session
 
     # ------------------------------------------------------------------
-    # Drain accounting
+    # Admission
     # ------------------------------------------------------------------
     def _begin_request(self) -> None:
-        """Admit one query/delta, or refuse it if the server is draining."""
+        """Admit one POST request, or refuse it if the server is draining."""
         with self._drain:
             if self._closing:
                 self.stats.bump("draining_rejections")
@@ -299,6 +349,34 @@ class ComICServer:
             self._inflight -= 1
             if self._inflight == 0:
                 self._drain.notify_all()
+
+    def _admitted(
+        self,
+        work: Callable[[str, Mapping[str, Any]], tuple[int, dict[str, Any]]],
+        graph_name: str,
+        payload: Any,
+        client_errors: tuple[type[ReproError], ...],
+    ) -> tuple[int, dict[str, Any]]:
+        """Answer one POST request by running ``work`` as in-flight work.
+
+        The one admission path of the POST endpoints.  A draining server
+        refuses with 503 before ``work`` runs.  A failure becomes the
+        reply: a :class:`ServiceError` keeps its status, an exception in
+        ``client_errors`` is the client's fault (400) and any other
+        :class:`ReproError` is a 500.  Every non-200 reply bumps
+        ``errors``.
+        """
+        try:
+            self._begin_request()
+            try:
+                status, body = work(graph_name, payload)
+            finally:
+                self._end_request()
+        except ReproError as exc:
+            status, body = _error_reply(exc, client_errors)
+        if status != 200:
+            self.stats.bump("errors")
+        return status, body
 
     def _wait_drained(self, timeout: Optional[float]) -> bool:
         """Block until no request is in flight; False on timeout."""
@@ -336,59 +414,36 @@ class ComICServer:
         ``diagnostics.resilience``); on failure ``{"error": ...}``.
         A server mid-:meth:`close` answers **503** without executing.
         """
-        try:
-            self._begin_request()
-        except ServiceError as exc:
-            self.stats.bump("errors")
-            return exc.status, {"error": str(exc)}
-        try:
-            return self._handle_query_admitted(graph_name, payload)
-        finally:
-            self._end_request()
+        return self._admitted(
+            self._answer_query, graph_name, payload, _QUERY_CLIENT_ERRORS
+        )
 
-    def _handle_query_admitted(
+    def _answer_query(
         self, graph_name: str, payload: Mapping[str, Any]
     ) -> tuple[int, dict[str, Any]]:
-        try:
-            service = self._service(graph_name)
-            query, config, rng, coalescible = self._parse_request(
-                service, payload
-            )
-        except ServiceError as exc:
-            self.stats.bump("errors")
-            return exc.status, {"error": str(exc)}
-
-        flight_key = (
-            self._flight_key(graph_name, payload) if coalescible else None
+        service = self._service(graph_name)
+        query, config, rng = self._parse_request(service, payload)
+        # Without a pinned rng each request must advance the session's
+        # stream independently — coalescing would silently hand two
+        # clients one draw.  With a pin, identical requests are
+        # deterministic replicas: safe (and profitable) to coalesce.
+        if rng is None:
+            return self._execute(service, query, config, rng)
+        return self._run_single_flight(
+            self._flight_key(graph_name, payload),
+            service, query, config, rng,
         )
-        if flight_key is not None:
-            status, body = self._run_single_flight(
-                flight_key, service, query, config, rng
-            )
-        else:
-            status, body = self._execute(service, query, config, rng)
-        if status != 200:
-            self.stats.bump("errors")
-        return status, body
 
     def _parse_request(
         self, service: _GraphService, payload: Mapping[str, Any]
-    ) -> tuple[Any, Optional[EngineConfig], Optional[int], bool]:
-        """Validate the request envelope into (query, config, rng, coalescible)."""
-        if not isinstance(payload, Mapping):
-            raise ServiceError(400, "request body must be a JSON object")
-        query_payload = payload.get("query")
-        if not isinstance(query_payload, Mapping):
-            raise ServiceError(
-                400, "request needs a 'query' object (query.to_dict payload)"
-            )
-        unknown = set(payload) - {"query", "config", "rng", "deadline_s"}
-        if unknown:
-            raise ServiceError(
-                400, f"unknown request fields: {sorted(unknown)}"
-            )
+    ) -> tuple[Any, Optional[EngineConfig], Optional[int]]:
+        """Validate the request envelope into (query, config, rng)."""
+        query_payload = _envelope(
+            payload, "query", "query.to_dict payload",
+            {"config", "rng", "deadline_s"},
+        )
         try:
-            query = registry.query_from_dict(query_payload)
+            query = query_from_dict(query_payload)
         except (QueryError, TypeError, ValueError) as exc:
             raise ServiceError(400, f"bad query: {exc}") from exc
 
@@ -420,18 +475,7 @@ class ComICServer:
             except QueryError as exc:
                 raise ServiceError(400, f"bad deadline_s: {exc}") from exc
 
-        rng = payload.get("rng")
-        if rng is not None and (
-            not isinstance(rng, int) or isinstance(rng, bool)
-        ):
-            raise ServiceError(
-                400, "'rng' must be an integer seed (omit for session stream)"
-            )
-        # Without a pinned rng each request must advance the session's
-        # stream independently — coalescing would silently hand two
-        # clients one draw.  With a pin, identical requests are
-        # deterministic replicas: safe (and profitable) to coalesce.
-        return query, config, rng, rng is not None
+        return query, config, _seed_of(payload)
 
     @staticmethod
     def _flight_key(graph_name: str, payload: Mapping[str, Any]) -> str:
@@ -486,6 +530,8 @@ class ComICServer:
         config: Optional[EngineConfig],
         rng: Optional[int],
     ) -> tuple[int, dict[str, Any]]:
+        # A reply, never a raise: a coalesced leader hands its reply to
+        # every follower.
         try:
             with service.lock:
                 result: InfluenceResult = service.session.run(
@@ -493,12 +539,8 @@ class ComICServer:
                 )
             self.stats.bump("queries")
             return 200, result.to_dict()
-        except (QueryError, SeedSetError, GapError) as exc:
-            # malformed *request* semantics (bad knobs, k > n, invalid
-            # GAPs): the client's fault, not the service's
-            return 400, {"error": str(exc)}
         except ReproError as exc:
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+            return _error_reply(exc, _QUERY_CLIENT_ERRORS)
 
     # ------------------------------------------------------------------
     # Dynamic graphs
@@ -516,62 +558,29 @@ class ComICServer:
         (old pools) or the new one (repaired pools), never a mix.
         A server mid-:meth:`close` answers **503** without mutating.
         """
-        try:
-            self._begin_request()
-        except ServiceError as exc:
-            self.stats.bump("errors")
-            return exc.status, {"error": str(exc)}
-        try:
-            return self._handle_delta_admitted(graph_name, payload)
-        finally:
-            self._end_request()
+        # A DeltaError from the session means the delta contradicts the
+        # graph (removing a missing edge, adding a present one): the
+        # client's fault.
+        return self._admitted(
+            self._answer_delta, graph_name, payload, (DeltaError,)
+        )
 
-    def _handle_delta_admitted(
+    def _answer_delta(
         self, graph_name: str, payload: Mapping[str, Any]
     ) -> tuple[int, dict[str, Any]]:
+        service = self._service(graph_name)
+        delta_payload = _envelope(
+            payload, "delta", "GraphDelta.to_dict payload", {"rng"}
+        )
         try:
-            service = self._service(graph_name)
-            if not isinstance(payload, Mapping):
-                raise ServiceError(400, "request body must be a JSON object")
-            unknown = set(payload) - {"delta", "rng"}
-            if unknown:
-                raise ServiceError(
-                    400, f"unknown request fields: {sorted(unknown)}"
-                )
-            delta_payload = payload.get("delta")
-            if not isinstance(delta_payload, Mapping):
-                raise ServiceError(
-                    400,
-                    "request needs a 'delta' object (GraphDelta.to_dict payload)",
-                )
-            try:
-                delta = GraphDelta.from_dict(delta_payload)
-            except (DeltaError, TypeError, ValueError, KeyError) as exc:
-                raise ServiceError(400, f"bad delta: {exc}") from exc
-            rng = payload.get("rng")
-            if rng is not None and (
-                not isinstance(rng, int) or isinstance(rng, bool)
-            ):
-                raise ServiceError(
-                    400,
-                    "'rng' must be an integer seed (omit for session stream)",
-                )
-        except ServiceError as exc:
-            self.stats.bump("errors")
-            return exc.status, {"error": str(exc)}
-        try:
-            with service.lock:
-                report = service.session.apply_delta(delta, rng=rng)
-            self.stats.bump("deltas")
-            return 200, report.as_dict()
-        except DeltaError as exc:
-            # the delta contradicts the graph (removing a missing edge,
-            # adding a present one): the client's fault
-            self.stats.bump("errors")
-            return 400, {"error": str(exc)}
-        except ReproError as exc:
-            self.stats.bump("errors")
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+            delta = GraphDelta.from_dict(delta_payload)
+        except (DeltaError, TypeError, ValueError, KeyError) as exc:
+            raise ServiceError(400, f"bad delta: {exc}") from exc
+        rng = _seed_of(payload)
+        with service.lock:
+            report = service.session.apply_delta(delta, rng=rng)
+        self.stats.bump("deltas")
+        return 200, report.as_dict()
 
     # ------------------------------------------------------------------
     # Pipelines
@@ -599,93 +608,66 @@ class ComICServer:
         run is also recorded in the graph's debug DB
         (``GET /pipeline/<name>/runs``).
         """
-        try:
-            self._begin_request()
-        except ServiceError as exc:
-            self.stats.bump("errors")
-            return exc.status, {"error": str(exc)}
-        try:
-            return self._handle_pipeline_admitted(graph_name, payload)
-        finally:
-            self._end_request()
+        # The pipeline's own errors mean the config contradicts the inputs
+        # (unlearnable pair, EM without episodes, bad query): the client's
+        # fault.
+        return self._admitted(
+            self._answer_pipeline, graph_name, payload,
+            (PipelineError, EstimationError, QueryError, GapError),
+        )
 
-    def _handle_pipeline_admitted(
+    def _answer_pipeline(
         self, graph_name: str, payload: Mapping[str, Any]
     ) -> tuple[int, dict[str, Any]]:
+        service = self._service(graph_name)
+        workdir = self._pipeline_workdir(graph_name)
+        config_payload = _envelope(
+            payload, "config", "PipelineConfig.to_dict payload",
+            {"log_path", "episodes_path", "truth"},
+        )
         try:
-            service = self._service(graph_name)
-            workdir = self._pipeline_workdir(graph_name)
-            if not isinstance(payload, Mapping):
-                raise ServiceError(400, "request body must be a JSON object")
-            unknown = set(payload) - {
-                "config", "log_path", "episodes_path", "truth",
-            }
-            if unknown:
+            config = PipelineConfig.from_dict(config_payload)
+        except (PipelineError, QueryError, TypeError, ValueError) as exc:
+            raise ServiceError(400, f"bad config: {exc}") from exc
+        log_path = payload.get("log_path")
+        if not isinstance(log_path, str) or not log_path:
+            raise ServiceError(
+                400, "request needs a 'log_path' string (action-log TSV)"
+            )
+        episodes_path = payload.get("episodes_path")
+        if episodes_path is not None and not isinstance(episodes_path, str):
+            raise ServiceError(400, "'episodes_path' must be a string")
+        truth_payload = payload.get("truth")
+        truth: Optional[GAP] = None
+        if truth_payload is not None:
+            if not isinstance(truth_payload, Mapping):
                 raise ServiceError(
-                    400, f"unknown request fields: {sorted(unknown)}"
-                )
-            config_payload = payload.get("config")
-            if not isinstance(config_payload, Mapping):
-                raise ServiceError(
-                    400,
-                    "request needs a 'config' object "
-                    "(PipelineConfig.to_dict payload)",
+                    400, "'truth' must be a GAP object (q_a, ...)"
                 )
             try:
-                config = PipelineConfig.from_dict(config_payload)
-            except (PipelineError, QueryError, TypeError, ValueError) as exc:
-                raise ServiceError(400, f"bad config: {exc}") from exc
-            log_path = payload.get("log_path")
-            if not isinstance(log_path, str) or not log_path:
-                raise ServiceError(
-                    400, "request needs a 'log_path' string (action-log TSV)"
-                )
-            episodes_path = payload.get("episodes_path")
-            if episodes_path is not None and not isinstance(episodes_path, str):
-                raise ServiceError(400, "'episodes_path' must be a string")
-            truth_payload = payload.get("truth")
-            truth: Optional[GAP] = None
-            if truth_payload is not None:
-                if not isinstance(truth_payload, Mapping):
-                    raise ServiceError(
-                        400, "'truth' must be a GAP object (q_a, ...)"
-                    )
-                try:
-                    truth = GAP.from_mapping(truth_payload)
-                except (GapError, TypeError, ValueError, KeyError) as exc:
-                    raise ServiceError(400, f"bad truth: {exc}") from exc
-            try:
-                log = load_action_log(log_path)
-                episodes = (
-                    load_episodes(episodes_path)
-                    if episodes_path is not None
-                    else None
-                )
-            except (ActionLogError, EstimationError, OSError) as exc:
-                raise ServiceError(400, f"bad pipeline input: {exc}") from exc
-        except ServiceError as exc:
-            self.stats.bump("errors")
-            return exc.status, {"error": str(exc)}
+                truth = GAP.from_mapping(truth_payload)
+            except (GapError, TypeError, ValueError, KeyError) as exc:
+                raise ServiceError(400, f"bad truth: {exc}") from exc
         try:
-            with service.lock:
-                result = run_pipeline(
-                    service.session.graph,
-                    log,
-                    config,
-                    episodes=episodes,
-                    workdir=workdir,
-                    truth=truth,
-                )
-            self.stats.bump("pipelines")
-            return 200, result.to_dict()
-        except (PipelineError, EstimationError, QueryError, GapError) as exc:
-            # the config contradicts the inputs (unlearnable pair, EM
-            # without episodes, bad query): the client's fault
-            self.stats.bump("errors")
-            return 400, {"error": str(exc)}
-        except ReproError as exc:
-            self.stats.bump("errors")
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+            log = load_action_log(log_path)
+            episodes = (
+                load_episodes(episodes_path)
+                if episodes_path is not None
+                else None
+            )
+        except (ActionLogError, EstimationError, OSError) as exc:
+            raise ServiceError(400, f"bad pipeline input: {exc}") from exc
+        with service.lock:
+            result = run_pipeline(
+                service.session.graph,
+                log,
+                config,
+                episodes=episodes,
+                workdir=workdir,
+                truth=truth,
+            )
+        self.stats.bump("pipelines")
+        return 200, result.to_dict()
 
     def handle_pipeline_runs(
         self, graph_name: str

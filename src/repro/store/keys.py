@@ -38,7 +38,7 @@ class PoolKey:
     :meth:`make` (which normalises) rather than the raw constructor.
     """
 
-    #: RR-set regime name as registered with the API registry
+    #: RR-set regime name, one of the session's generator table
     #: (``"rr-sim"``, ``"rr-cim"``, ``"rr-block"``, ...).
     regime: str
     #: the GAP quadruple ``(q_a, q_a_given_b, q_b, q_b_given_a)``.

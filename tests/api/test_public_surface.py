@@ -106,9 +106,7 @@ EXPECTED_ALL = [
     "InfluenceResult",
     "InvalidationReason",
     "LearnedGap",
-    "MC_ENGINE",
     "MultiItemQuery",
-    "ObjectiveSpec",
     "PipelineConfig",
     "PipelineDebugDB",
     "PipelineError",
@@ -118,19 +116,9 @@ EXPECTED_ALL = [
     "SelfInfMaxQuery",
     "SessionStats",
     "StageRecord",
-    "generator_factory",
-    "get_spec",
-    "known_objectives",
-    "known_regimes",
     "query_from_dict",
     "query_from_json",
-    "register",
-    "register_regime",
-    "resolve",
     "run_pipeline",
-    "spec_for_query",
-    "unregister",
-    "unregister_regime",
 ]
 
 
@@ -171,12 +159,17 @@ def test_top_level_reexports():
 
 
 def test_builtin_objectives_registered():
-    assert repro.api.known_objectives() == (
+    from repro.api.queries import QUERY_TYPES
+    from repro.api.session import _GENERATORS, _HANDLERS
+
+    assert sorted(QUERY_TYPES) == [
         "blocking",
         "compinfmax",
         "multi_item",
         "selfinfmax",
-    )
-    assert repro.api.known_regimes() == (
+    ]
+    assert sorted(_GENERATORS) == [
         "rr-block", "rr-cim", "rr-ic", "rr-sim", "rr-sim+"
-    )
+    ]
+    # every query class the wire format can build has a solver
+    assert set(_HANDLERS) == set(QUERY_TYPES.values())

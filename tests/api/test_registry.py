@@ -1,44 +1,32 @@
-"""Registry dispatch: error paths and extensibility."""
-
-from dataclasses import dataclass
+"""Query dispatch: the error paths of the fixed objective and regime tables."""
 
 import pytest
 
 from repro.api import (
-    BlockingQuery,
     ComICSession,
     EngineConfig,
-    InfluenceResult,
-    ObjectiveSpec,
     SelfInfMaxQuery,
-    generator_factory,
-    get_spec,
-    known_objectives,
-    known_regimes,
-    register,
-    register_regime,
-    resolve,
-    spec_for_query,
-    unregister,
-    unregister_regime,
+    query_from_dict,
 )
-from repro.api.queries import _QueryBase
+from repro.api.session import _GENERATORS, _make_generator
 from repro.errors import QueryError, RegimeError
 from repro.graph import star_digraph
 from repro.models import GAP
+from repro.service import ComICServer
 
 
 class TestErrorPaths:
     def test_unknown_objective_by_name(self):
         with pytest.raises(QueryError, match="unknown objective"):
-            get_spec("totally-bogus")
+            query_from_dict({"objective": "totally-bogus"})
 
     def test_unknown_query_type(self):
         class NotAQuery:
             pass
 
+        session = ComICSession(star_digraph(5), GAP(0.3, 0.8, 0.5, 0.5))
         with pytest.raises(QueryError, match="no objective registered"):
-            spec_for_query(NotAQuery())
+            session.run(NotAQuery())
 
     def test_session_rejects_unknown_query_type(self):
         session = ComICSession(star_digraph(5), GAP(0.3, 0.8, 0.5, 0.5))
@@ -49,24 +37,12 @@ class TestErrorPaths:
         with pytest.raises(QueryError, match="unknown engine"):
             EngineConfig(engine="celf")
 
-    def test_unsupported_engine_rejected_at_resolve(self):
-        register(
-            ObjectiveSpec(
-                name="_tim_only",
-                query_type=_TimOnlyQuery,
-                handler=lambda *a: None,
-                engines=("tim",),
-            )
-        )
-        try:
-            with pytest.raises(QueryError, match="does not support engine"):
-                resolve(_TimOnlyQuery(), "imm")
-        finally:
-            unregister("_tim_only")
-
     def test_unknown_regime(self):
         with pytest.raises(QueryError, match="unknown RR-set regime"):
-            generator_factory("rr-bogus")
+            _make_generator(
+                "rr-bogus", star_digraph(4), GAP(0.3, 0.8, 0.5, 0.5), (),
+                EngineConfig(),
+            )
 
     def test_unknown_regime_via_session(self):
         session = ComICSession(star_digraph(5), GAP(0.3, 0.8, 0.5, 0.5))
@@ -81,125 +57,36 @@ class TestErrorPaths:
         with pytest.raises(RegimeError):
             session.run(SelfInfMaxQuery(seeds_b=(0,), k=1))
 
-    def test_duplicate_registration_rejected(self):
-        spec = get_spec("selfinfmax")
-        with pytest.raises(QueryError, match="already registered"):
-            register(spec)
-
-    def test_unregister_unknown(self):
-        with pytest.raises(QueryError, match="unknown objective"):
-            unregister("never-registered")
-
-    def test_duplicate_regime_rejected(self):
-        with pytest.raises(QueryError, match="already registered"):
-            register_regime("rr-sim", lambda *a: None)
-
-
-@dataclass(frozen=True)
-class _TimOnlyQuery(_QueryBase):
-    objective = "_tim_only"
-
-
-@dataclass(frozen=True)
-class _HubQuery(_QueryBase):
-    """Toy workload: return the star hub, no sampling."""
-
-    objective = "_hub"
-
-    k: int = 1
-
-
-def _run_hub(session, query, config, rng):
-    return InfluenceResult(
-        objective=query.objective,
-        seeds=[0] * query.k,
-        method="toy",
-        engine=config.engine,
-        estimate=float(session.graph.num_nodes),
-        query=query,
-    )
-
-
-class TestExtensibility:
-    def test_custom_workload_round_trips_through_session(self):
-        register(
-            ObjectiveSpec(
-                name="_hub", query_type=_HubQuery, handler=_run_hub,
+    def test_daemon_answers_400_for_unknown_objective(self):
+        server = ComICServer()
+        server.register_graph("g", star_digraph(5), GAP(0.3, 0.8, 0.5, 0.5))
+        try:
+            status, body = server.handle_query(
+                "g", {"query": {"objective": "totally-bogus"}}
             )
-        )
-        try:
-            assert "_hub" in known_objectives()
-            session = ComICSession(star_digraph(7))
-            result = session.run(_HubQuery(k=2))
-            assert result.seeds == [0, 0]
-            assert result.method == "toy"
-            assert result.estimate == 7.0
-            # Session bookkeeping applies to custom workloads too.
-            assert result.diagnostics["rr_sets_sampled"] == 0
-            assert session.stats.queries == 1
         finally:
-            unregister("_hub")
-        assert "_hub" not in known_objectives()
+            server.close()
+        assert status == 400 and "unknown objective" in body["error"]
+        assert server.stats.errors == 1
 
-    def test_replace_rebinds_query_type(self):
-        """replace=True must not leave a stale query-type binding behind."""
 
-        @dataclass(frozen=True)
-        class _HubQueryV2(_QueryBase):
-            objective = "_hub"
-            k: int = 1
-
-        def _run_hub_v2(session, query, config, rng):
-            result = _run_hub(session, query, config, rng)
-            result.method = "toy-v2"
-            return result
-
-        register(ObjectiveSpec(name="_hub", query_type=_HubQuery,
-                               handler=_run_hub))
-        try:
-            register(
-                ObjectiveSpec(name="_hub", query_type=_HubQueryV2,
-                              handler=_run_hub_v2),
-                replace=True,
+class TestTables:
+    def test_every_regime_builds_a_configured_generator(self):
+        config = EngineConfig()
+        # Each regime's own GAP conditions: Q+ for RR-SIM(+), q_{B|A} = 1
+        # for RR-CIM, one-way competition for RR-Block.
+        q_plus = GAP(0.3, 0.8, 0.5, 0.5)
+        regime_gaps = {
+            "rr-ic": q_plus,
+            "rr-sim": q_plus,
+            "rr-sim+": q_plus,
+            "rr-cim": GAP(0.3, 0.8, 0.5, 1.0),
+            "rr-block": GAP(0.6, 0.1, 0.7, 0.7),
+        }
+        assert set(regime_gaps) == set(_GENERATORS)
+        for regime, gaps in regime_gaps.items():
+            generator = _make_generator(
+                regime, star_digraph(4), gaps, (0,), config
             )
-            session = ComICSession(star_digraph(4))
-            assert session.run(_HubQueryV2()).method == "toy-v2"
-            # The replaced query type no longer dispatches anywhere.
-            with pytest.raises(QueryError, match="no objective registered"):
-                spec_for_query(_HubQuery())
-        finally:
-            unregister("_hub")
-        with pytest.raises(QueryError, match="no objective registered"):
-            spec_for_query(_HubQueryV2())
-
-    def test_replace_across_names_evicts_stranded_objective(self):
-        """Moving a query type to a new name must not strand the old one."""
-        register(ObjectiveSpec(name="_old", query_type=_HubQuery,
-                               handler=_run_hub))
-        register(
-            ObjectiveSpec(name="_new", query_type=_HubQuery,
-                          handler=_run_hub),
-            replace=True,
-        )
-        try:
-            assert "_old" not in known_objectives()
-            assert spec_for_query(_HubQuery()).name == "_new"
-        finally:
-            unregister("_new")
-
-    def test_custom_regime_registers(self):
-        from repro.rrset.rr_ic import RRICGenerator
-
-        register_regime(
-            "_rr-toy", lambda graph, gaps, opposite: RRICGenerator(graph)
-        )
-        try:
-            assert "_rr-toy" in known_regimes()
-            factory = generator_factory("_rr-toy")
-            generator = factory(star_digraph(4), None, ())
             assert generator.graph.num_nodes == 4
-        finally:
-            unregister_regime("_rr-toy")
-        assert "_rr-toy" not in known_regimes()
-        with pytest.raises(QueryError, match="unknown RR-set regime"):
-            unregister_regime("_rr-toy")
+            assert generator.sweep == config.sweep_config()

@@ -20,6 +20,10 @@ from repro.experiments import (
     table8_sandwich_ratio,
     tables5to7_learned_gaps,
 )
+from repro.api import ComICSession, EngineConfig
+from repro.datasets import load_dataset
+from repro.experiments.figures import FIG_SIM_GAPS, _mid_tier
+from repro.rng import derive_seed
 from repro.rrset import TIMOptions
 
 
@@ -94,6 +98,25 @@ class TestFigure4:
         fast = result.rows[-1]
         slow = result.rows[0]
         assert fast["theta"] < slow["theta"]
+
+    def test_capped_run_reports_theta_required(self, tiny):
+        """At a cap of 8000, KPT's pilot budget (2000) runs out, KPT falls
+        back to 1.0 and theta clips to the cap; theta_required tells the
+        capped run from one that met its target."""
+        graph = load_dataset("flixster", scale=tiny.scale, rng=tiny.seed)
+        seeds_b = _mid_tier(graph, tiny, derive_seed(tiny.seed, 90))
+        results = {}
+        for cap in (8000, 12000):
+            results[cap] = ComICSession(graph).select_seeds(
+                "rr-sim+", FIG_SIM_GAPS, seeds_b, tiny.k,
+                EngineConfig(epsilon=2.0, max_rr_sets=cap),
+                rng=derive_seed(tiny.seed, 91, 200),
+            )
+        capped, met = results[8000], results[12000]
+        assert capped.kpt == 1.0
+        assert capped.theta == 8000 < capped.theta_required
+        assert met.kpt > 1.0
+        assert met.theta == met.theta_required < 12000
 
 
 class TestFigure5:

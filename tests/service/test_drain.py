@@ -104,8 +104,13 @@ class TestGracefulDrain:
                 "g", {"delta": {}}
             )
             assert delta_status == 503 and "draining" in delta_body["error"]
-            assert server.stats.draining_rejections == 2
-            assert server.stats.errors == errors_before + 2
+            pipeline_status, pipeline_body = server.handle_pipeline(
+                "g", {"config": {}}
+            )
+            assert pipeline_status == 503
+            assert "draining" in pipeline_body["error"]
+            assert server.stats.draining_rejections == 3
+            assert server.stats.errors == errors_before + 3
         thread.join(timeout=30)
         closer.join(timeout=30)
         assert not closer.is_alive()
