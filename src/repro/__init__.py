@@ -51,7 +51,7 @@ from repro.api import (
 )
 from repro.rrset import TIMOptions, general_tim
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "ComICSession",

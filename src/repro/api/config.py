@@ -19,7 +19,6 @@ from typing import Any, Mapping, Optional
 from repro.errors import QueryError
 from repro.rrset.engines import ENGINES
 from repro.rrset.imm import IMMOptions
-from repro.rrset.sweep import DEFAULT_CHUNK_STATE_BYTES, SweepConfig
 from repro.rrset.tim import TIMOptions
 
 
@@ -65,13 +64,6 @@ class EngineConfig:
     regeneration, both because repair approaches regeneration cost and
     because the keep-the-untouched-members approximation degrades with
     churn.  See ``docs/api.md`` ("Dynamic graphs").
-
-    ``chunk_state_bytes`` budgets the per-chunk sweep state of the
-    batched RR kernels (the one knob behind every kernel's chunk size),
-    and ``sweep_backend`` selects the chunk-state layout: ``"auto"``
-    (dense below ~half a million nodes, sparse above), ``"dense"``, or
-    ``"sparse"``.  Both thread through :meth:`sweep_config` to every
-    generator the session builds.  See ``docs/api.md`` ("Sweep engine").
     """
 
     engine: str = "tim"
@@ -85,8 +77,6 @@ class EngineConfig:
     deadline_s: Optional[float] = None
     track_touches: bool = False
     delta_churn_threshold: float = 0.35
-    chunk_state_bytes: int = DEFAULT_CHUNK_STATE_BYTES
-    sweep_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -133,12 +123,6 @@ class EngineConfig:
                 f"delta_churn_threshold must lie in [0, 1], "
                 f"got {self.delta_churn_threshold}"
             )
-        # Delegate the sweep-knob validation to SweepConfig so the two
-        # layers can never disagree about what is legal.
-        try:
-            self.sweep_config()
-        except ValueError as exc:
-            raise QueryError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # Projections onto the engine-specific option records
@@ -160,17 +144,6 @@ class EngineConfig:
             ell=self.ell,
             max_rr_sets=self.max_rr_sets,
             min_rr_sets=self.min_rr_sets,
-        )
-
-    def sweep_config(self) -> SweepConfig:
-        """The equivalent :class:`~repro.rrset.sweep.SweepConfig`.
-
-        The session assigns this to every generator it constructs, so
-        the kernels' chunk sizing and state backend follow the config.
-        """
-        return SweepConfig(
-            chunk_state_bytes=self.chunk_state_bytes,
-            state_backend=self.sweep_backend,
         )
 
     @classmethod

@@ -125,18 +125,15 @@ def _make_generator(
     graph: DiGraph,
     gaps: GAP,
     opposite_seeds: Sequence[int],
-    cfg: EngineConfig,
 ) -> RRSetGenerator:
-    """The configured generator of one regime; raises when it is unknown."""
+    """The generator of one regime; raises when it is unknown."""
     factory = _GENERATORS.get(regime)
     if factory is None:
         raise QueryError(
             f"unknown RR-set regime {regime!r}; known: "
             f"{', '.join(sorted(_GENERATORS))}"
         )
-    generator = factory(graph, gaps, opposite_seeds)
-    generator.sweep = cfg.sweep_config()
-    return generator
+    return factory(graph, gaps, opposite_seeds)
 
 
 @dataclass
@@ -560,8 +557,7 @@ class ComICSession:
         repaired = regenerated = resampled = 0
         for key, entry in list(self._pools.items()):
             generator = _make_generator(
-                key.regime, effect.graph, GAP(*key.gaps), key.opposite_seeds,
-                cfg,
+                key.regime, effect.graph, GAP(*key.gaps), key.opposite_seeds
             )
             report = None
             if churn <= cfg.delta_churn_threshold:
@@ -912,7 +908,7 @@ class ComICSession:
         entry = self._pools.pop(key, None)
         if entry is None:
             generator = _make_generator(
-                regime, self._graph, gaps, key.opposite_seeds, cfg
+                regime, self._graph, gaps, key.opposite_seeds
             )
             pool = self._load_from_store(key)
             entry = _PoolEntry(
@@ -1035,9 +1031,10 @@ class ComICSession:
         """Diagnostics snapshot of every cached pool."""
         infos = []
         for key, entry in self._pools.items():
+            kind = type(entry.generator)
             batched = (
-                type(entry.generator).generate_batch
-                is not RRSetGenerator.generate_batch
+                kind.generate_batch is not RRSetGenerator.generate_batch
+                or kind._sweep_chunk is not RRSetGenerator._sweep_chunk
             )
             infos.append(
                 PoolInfo(

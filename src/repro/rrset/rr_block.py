@@ -64,13 +64,13 @@ the frontier finds ``d_A(root)`` while touching only the root's
 neighbourhood.  That keeps batch cost proportional to output size where
 a forward sweep would re-cascade ``S_A`` across every world (hub seed
 sets made that quadratic in practice).  Roots are pre-filtered by one
-uniform draw realising ``alpha_A(root)`` (outside ``[q_{A|B}, q_{A|∅})``
-the set is empty before any search).  Every phase-1 coin is recorded
-into a :class:`~repro.rrset.sweep.ChunkCoinMemo` (record fast lane — each
-node expands at most once per world) and the bounded reverse B-sweep
-replays them via ``lookup_or_draw``, so an edge keeps one coin across
-both passes exactly like the oracle's memoised ``WorldSource``.  Output
-distribution is identical to :meth:`generate`;
+read of ``alpha_A(root)`` from the chunk world (outside ``[q_{A|B},
+q_{A|∅})`` the set is empty before any search).  Every phase-1 coin is
+recorded into the chunk world's :class:`~repro.rrset.sweep.ChunkCoinMemo`
+(first flips — each node expands at most once per world) and the
+bounded reverse B-sweep replays them via ``lookup_or_draw``, so an edge
+keeps one coin across both passes exactly like the oracle's memoised
+``WorldSource``.  Output distribution is identical to :meth:`generate`;
 ``tests/rrset/test_rr_block.py`` verifies fixed-world equality and
 aggregate frequencies.
 """
@@ -84,18 +84,10 @@ import numpy as np
 from repro.errors import RegimeError
 from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
-from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool
-from repro.rrset.sweep import (
-    ChunkCoinMemo,
-    adaptive_chunk,
-    flatten_members,
-    make_state,
-    touches_from_keys,
-)
+from repro.rrset.sweep import flatten_members, make_state
 
 
 def check_rr_block_regime(gaps: GAP) -> None:
@@ -206,6 +198,11 @@ class RRBlockGenerator(RRSetGenerator):
     # reverse-B replays), giving the exact edge-touch signature repair
     # needs — even for worlds that produced an empty suppression set.
     touch_mode = "recorded"
+    # Two visited bitmaps per (world, node) dense; chunks adapt to the
+    # memo load of the reverse-A phase.
+    _state_bytes_per_node = 2
+    _max_members = 8192
+    _probe_chunk = 256
 
     def __init__(self, graph: DiGraph, gaps: GAP, seeds_a: Iterable[int]) -> None:
         super().__init__(graph)
@@ -244,14 +241,7 @@ class RRBlockGenerator(RRSetGenerator):
         )
 
     def _reverse_a_times(
-        self,
-        b: int,
-        chunk_roots: np.ndarray,
-        lanes: np.ndarray,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-        memo: ChunkCoinMemo,
-        backend: str,
+        self, chunk_roots: np.ndarray, lanes: np.ndarray, world, backend: str
     ) -> np.ndarray:
         """Phase 1: per-lane reverse A-search resolving ``d_A(root)``.
 
@@ -262,14 +252,14 @@ class RRBlockGenerator(RRSetGenerator):
         backwards from its root and resolves at the first depth a seed
         enters the frontier; lanes whose frontier dies resolve to -1
         (root never adopts).  Each node expands at most once per world,
-        so coins go through the memo's record fast lane and ``alpha_A``
-        gates draw fresh.
+        so coins are first flips and each ``alpha_A`` gate is read once.
         """
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
         q_a = self._gaps.q_a
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
         seeds = np.unique(np.asarray(self._seeds_a, dtype=np.int64))
+        b = chunk_roots.size
         budget = np.full(b, -1, dtype=np.int64)
         if lanes.size == 0 or seeds.size == 0:
             return budget
@@ -293,21 +283,15 @@ class RRBlockGenerator(RRSetGenerator):
                         break
                 # Relay gate: expanding past x makes it path-interior, so
                 # x must pass alpha_A (the depth-0 root already did, via
-                # the pre-filter draw).
-                if world is None:
-                    relay = gen.random(fn.size) < q_a
-                else:
-                    relay = world.alpha_a[fn] < q_a
+                # the pre-filter read).
+                relay = world.alpha_a(fw * n + fn) < q_a
                 fw, fn = fw[relay], fn[relay]
                 if fn.size == 0:
                     break
             reps, flat = expand_csr(in_indptr, fn)
             if flat.size == 0:
                 break
-            if world is None:
-                live = memo.draw(fw[reps] * m + in_eid[flat], in_prob[flat], gen)
-            else:
-                live = world.live[in_eid[flat]]
+            live = world.first(fw[reps] * m + in_eid[flat], in_prob[flat])
             key = visited.mark_new(fw[reps[live]] * n + in_src[flat[live]])
             if key.size == 0:
                 break
@@ -315,153 +299,73 @@ class RRBlockGenerator(RRSetGenerator):
             depth += 1
         return budget
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily, materialising coins
-        and thresholds only where the sweeps touch.
-        """
-        gen = make_rng(rng)
+    def _sweep_chunk(self, roots, world, backend):
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
         gaps = self._gaps
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
         seeds = np.unique(np.asarray(self._seeds_a, dtype=np.int64))
-        # Two visited bitmaps per (world, node) dense: the sweep engine
-        # budgets them, then chunks re-size from the observed memo load
-        # like the other adaptive kernels.
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=2, max_members=8192
+        b = roots.size
+        ids = np.arange(b, dtype=np.int64)
+        # Root pre-filter: one read of alpha_A(root).  Only roots with
+        # alpha in [q_{A|B}, q_{A|∅}) can both adopt A and be flipped by
+        # an interception; seeds adopt unconditionally and are never
+        # blockable.
+        alpha_root = world.alpha_a(ids * n + roots)
+        viable = (alpha_root >= gaps.q_a_given_b) & (alpha_root < gaps.q_a)
+        if seeds.size:
+            viable &= ~np.isin(roots, seeds)
+        root_time = self._reverse_a_times(
+            roots, np.flatnonzero(viable), world, backend
         )
-        chunk = min(max_chunk, 256)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            memo = ChunkCoinMemo()
-            # Root pre-filter: one uniform draw realises alpha_A(root).
-            # Only roots with alpha in [q_{A|B}, q_{A|∅}) can both adopt
-            # A and be flipped by an interception; seeds adopt
-            # unconditionally and are never blockable.
-            if world is None:
-                alpha_root = gen.random(b)
-            else:
-                alpha_root = world.alpha_a[chunk_roots]
-            viable = (alpha_root >= gaps.q_a_given_b) & (alpha_root < gaps.q_a)
+        # The next chunk sizes from the reverse-A memo, before the relay
+        # sweep below grows it.
+        world.measure_load()
+        lanes = np.flatnonzero(root_time > 0)
+        if lanes.size == 0:
+            return np.empty(0, dtype=np.int32), np.zeros(b, dtype=np.int64)
+        lane_roots = roots[lanes]
+        visited = make_state(b, n, backend)
+        visited.mark(lanes * n + lane_roots)
+        member_ids = [lanes]
+        member_nodes = [lane_roots]
+        frontier_world, frontier_node = lanes, lane_roots
+        depth = 0
+        q_b = gaps.q_b
+        while frontier_node.size:
+            # Relay gate: a frontier node expands iff its lane still
+            # has depth budget and it passes alpha_B (each node is
+            # gated at most once per world, so one read realises the
+            # threshold exactly).
+            deepen = root_time[frontier_world] > depth
+            fw, fn = frontier_world[deepen], frontier_node[deepen]
+            if fn.size == 0:
+                break
+            relay = world.alpha_b(fw * n + fn) < q_b
+            fw, fn = fw[relay], fn[relay]
+            if fn.size == 0:
+                break
+            depth += 1
+            reps, flat = expand_csr(in_indptr, fn)
+            if flat.size == 0:
+                break
+            live = world.coin(fw[reps] * m + in_eid[flat], in_prob[flat])
+            key = visited.mark_new(fw[reps[live]] * n + in_src[flat[live]])
+            if key.size == 0:
+                break
+            frontier_world, frontier_node = np.divmod(key, n)
+            record = np.ones(frontier_node.size, dtype=bool)
             if seeds.size:
-                viable &= ~np.isin(chunk_roots, seeds)
-            root_time = self._reverse_a_times(
-                b, chunk_roots, np.flatnonzero(viable), gen, world, memo,
-                backend,
-            )
-            chunk = adaptive_chunk(memo.size, b, max_chunk)
-            track = pool.track_touches and world is None
-
-            def chunk_touches():
-                # The phase-1 reverse-A coins live in the memo even for
-                # worlds whose suppression set came out empty, so both
-                # append sites must extract the record.
-                if not track:
-                    return None, None
-                return touches_from_keys(memo.touched_keys(), m, b)
-
-            lanes = np.flatnonzero(root_time > 0)
-            if lanes.size == 0:
-                touch_edges, touch_lengths = chunk_touches()
-                pool.append_flat(
-                    np.empty(0, dtype=np.int32),
-                    np.zeros(b, dtype=np.int64),
-                    roots=chunk_roots,
-                    touch_edges=touch_edges,
-                    touch_lengths=touch_lengths,
-                )
-                continue
-            lane_roots = chunk_roots[lanes]
-            visited = make_state(b, n, backend)
-            visited.mark(lanes * n + lane_roots)
-            member_ids = [lanes]
-            member_nodes = [lane_roots]
-            frontier_world, frontier_node = lanes, lane_roots
-            depth = 0
-            q_b = gaps.q_b
-            while frontier_node.size:
-                # Relay gate: a frontier node expands iff its lane still
-                # has depth budget and it passes alpha_B (each node is
-                # gated at most once per world, so a fresh draw realises
-                # the threshold exactly).
-                deepen = root_time[frontier_world] > depth
-                fw, fn = frontier_world[deepen], frontier_node[deepen]
-                if fn.size == 0:
-                    break
-                if world is None:
-                    relay = gen.random(fn.size) < q_b
-                else:
-                    relay = world.alpha_b[fn] < q_b
-                fw, fn = fw[relay], fn[relay]
-                if fn.size == 0:
-                    break
-                depth += 1
-                reps, flat = expand_csr(in_indptr, fn)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = memo.lookup_or_draw(
-                        fw[reps] * m + in_eid[flat], in_prob[flat], gen
-                    )
-                else:
-                    live = world.live[in_eid[flat]]
-                key = visited.mark_new(
-                    fw[reps[live]] * n + in_src[flat[live]]
-                )
-                if key.size == 0:
-                    break
-                frontier_world, frontier_node = np.divmod(key, n)
-                record = np.ones(frontier_node.size, dtype=bool)
-                if seeds.size:
-                    # A-seeds relay B but are not recorded as candidates.
-                    pos = np.searchsorted(seeds, frontier_node)
-                    pos_c = np.minimum(pos, seeds.size - 1)
-                    record &= seeds[pos_c] != frontier_node
-                # Simultaneous arrival (depth == d_A): the node's fair
-                # world coin resolves the race; each (world, node) is
-                # discovered once, so a fresh draw realises tau exactly.
-                tie = np.flatnonzero(
-                    record & (root_time[frontier_world] == depth)
-                )
-                if tie.size:
-                    if world is None:
-                        a_first = gen.random(tie.size) < 0.5
-                    else:
-                        a_first = world.tau_a_first[frontier_node[tie]]
-                    record[tie[a_first]] = False
-                member_ids.append(frontier_world[record])
-                member_nodes.append(frontier_node[record])
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            touch_edges, touch_lengths = chunk_touches()
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
-            )
-        return pool
+                # A-seeds relay B but are not recorded as candidates.
+                pos = np.searchsorted(seeds, frontier_node)
+                pos_c = np.minimum(pos, seeds.size - 1)
+                record &= seeds[pos_c] != frontier_node
+            # Simultaneous arrival (depth == d_A): the node's fair
+            # world coin resolves the race; each (world, node) is
+            # discovered once, so one read realises tau exactly.
+            tie = np.flatnonzero(record & (root_time[frontier_world] == depth))
+            if tie.size:
+                record[tie[world.tau_a_first(key[tie])]] = False
+            member_ids.append(frontier_world[record])
+            member_nodes.append(frontier_node[record])
+        return flatten_members(member_nodes, member_ids, b)

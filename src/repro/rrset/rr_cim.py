@@ -50,7 +50,7 @@ every Case-1 secondary search (the union of per-start searches, valid
 because exploration from a node is a function of the memoised world
 alone), and per-candidate Case-4 zig-zag forward/backward sweeps laid out
 as independent lanes.  Because sub-searches of one world may re-test an
-edge, all liveness coins go through a shared
+edge, all liveness coins go through the chunk world's shared
 :class:`~repro.rrset.sweep.ChunkCoinMemo` — the batched realisation of the
 oracle's memoised ``WorldSource`` — so the output distribution matches
 :meth:`RRCimGenerator.generate` exactly; ``tests/rrset/
@@ -69,19 +69,10 @@ import numpy as np
 from repro.errors import RegimeError
 from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
-from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool
-from repro.rrset.sweep import (
-    ChunkCoinMemo,
-    adaptive_chunk,
-    make_state,
-    touches_from_keys,
-    unique_inverse,
-    unique_keys,
-)
+from repro.rrset.sweep import make_state, unique_inverse, unique_keys
 
 # Forward-labeling labels, ordered by strength (rejected is terminal).
 LABEL_REJECTED = -1
@@ -163,6 +154,13 @@ class RRCimGenerator(RRSetGenerator):
     # records, backward phases replay), so its key record is the exact
     # per-member edge-touch signature for delta repair.
     touch_mode = "recorded"
+    # uint8 byte-field plus bool visited per (member, node) dense.  The
+    # coin memo grows with the A-region's degree per world, which is
+    # only known after sampling, so chunks start at a modest probe and
+    # re-size from the memo load at the end of each chunk.
+    _state_bytes_per_node = 2
+    _max_members = 4096
+    _probe_chunk = 128
 
     def __init__(self, graph: DiGraph, gaps: GAP, seeds_a: Iterable[int]) -> None:
         super().__init__(graph)
@@ -359,114 +357,58 @@ class RRCimGenerator(RRSetGenerator):
     # ------------------------------------------------------------------
     # Batched fast path (see module docstring)
     # ------------------------------------------------------------------
-    def _edge_live_batch(
-        self,
-        members: np.ndarray,
-        eids: np.ndarray,
-        probs: np.ndarray,
-        coins: ChunkCoinMemo,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-    ) -> np.ndarray:
-        """Memoised liveness of one bulk edge batch (``members`` parallel
-        to ``eids``); the batched ``WorldSource.edge_live``."""
-        if world is not None:
-            return world.live[eids]
-        return coins.lookup_or_draw(
-            members * self._graph.num_edges + eids, probs, gen
-        )
-
-    def _alpha_a_cat(
-        self,
-        state,
-        keys: np.ndarray,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-    ) -> np.ndarray:
+    def _alpha_a_cat(self, state, keys: np.ndarray, world) -> np.ndarray:
         """Memoised ``alpha_A`` category of *unique* (member, node) keys:
         1 below ``q_{A|∅}``, 2 between the GAPs, 3 at or above ``q_{A|B}``
         — the only facts about the threshold any phase reads."""
         gaps = self._gaps
-        if world is not None:
-            alpha = world.alpha_a[keys % self._graph.num_nodes]
-            return np.where(
-                alpha < gaps.q_a, 1, np.where(alpha < gaps.q_a_given_b, 2, 3)
-            ).astype(np.uint8)
         st = state.get(keys)
         cat = (st & _AA_MASK) >> np.uint8(_AA_SHIFT)
         unknown = np.flatnonzero(cat == 0)
         if unknown.size:
-            draw = gen.random(unknown.size)
+            alpha = world.alpha_a(keys[unknown])
             fresh = np.where(
-                draw < gaps.q_a, 1, np.where(draw < gaps.q_a_given_b, 2, 3)
+                alpha < gaps.q_a, 1, np.where(alpha < gaps.q_a_given_b, 2, 3)
             ).astype(np.uint8)
             cat[unknown] = fresh
             state.put(keys[unknown], st[unknown] | (fresh << np.uint8(_AA_SHIFT)))
         return cat
 
-    def _alpha_b_pass(
-        self,
-        state,
-        keys: np.ndarray,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-    ) -> np.ndarray:
+    def _alpha_b_pass(self, state, keys: np.ndarray, world) -> np.ndarray:
         """Memoised ``alpha_B < q_{B|∅}`` outcome of *unique* keys."""
-        gaps = self._gaps
-        if world is not None:
-            return world.alpha_b[keys % self._graph.num_nodes] < gaps.q_b
         st = state.get(keys)
         stat = (st & _AB_MASK) >> np.uint8(_AB_SHIFT)
         unknown = np.flatnonzero(stat == 0)
         if unknown.size:
             fresh = np.where(
-                gen.random(unknown.size) < gaps.q_b, 1, 2
+                world.alpha_b(keys[unknown]) < self._gaps.q_b, 1, 2
             ).astype(np.uint8)
             stat[unknown] = fresh
             state.put(keys[unknown], st[unknown] | (fresh << np.uint8(_AB_SHIFT)))
         return stat == 1
 
-    def _ab_diffusible_mask(
-        self, state, keys, gen, world: Optional[PossibleWorld]
-    ) -> np.ndarray:
+    def _ab_diffusible_mask(self, state, keys, world) -> np.ndarray:
         """Bulk AB-diffusibility; keys may repeat across zig-zag lanes, so
         each memoised variable resolves once per distinct key."""
         ukeys, inverse = unique_inverse(keys)
-        cat = self._alpha_a_cat(state, ukeys, gen, world)
+        cat = self._alpha_a_cat(state, ukeys, world)
         ok = cat == 1
         mid = np.flatnonzero(cat == 2)
         if mid.size:
-            ok[mid] = self._alpha_b_pass(state, ukeys[mid], gen, world)
+            ok[mid] = self._alpha_b_pass(state, ukeys[mid], world)
         return ok[inverse]
 
-    def _b_diffusible_mask(
-        self, state, keys, gen, world: Optional[PossibleWorld]
-    ) -> np.ndarray:
+    def _b_diffusible_mask(self, state, keys, world) -> np.ndarray:
         """Bulk B-diffusibility (``alpha_B`` pass, or A-adopted since
         ``q_{B|A} = 1``); duplicate-key safe like the AB variant."""
         ukeys, inverse = unique_inverse(keys)
         ok = (state.get(ukeys) & _LBL_MASK) == LABEL_ADOPTED
         rest = np.flatnonzero(~ok)
         if rest.size:
-            ok[rest] = self._alpha_b_pass(state, ukeys[rest], gen, world)
+            ok[rest] = self._alpha_b_pass(state, ukeys[rest], world)
         return ok[inverse]
 
-    def _edge_live_record(
-        self, members, eids, probs, coins, gen, world: Optional[PossibleWorld]
-    ) -> np.ndarray:
-        """First-flip edge liveness: bulk fresh draws recorded append-only.
-
-        Only valid when every key is provably untested so far — the
-        forward-labeling phases qualify because each phase expands each
-        node at most once and their expansion sets are disjoint.
-        """
-        if world is not None:
-            return world.live[eids]
-        return coins.draw(members * self._graph.num_edges + eids, probs, gen)
-
-    def _forward_label_batch(
-        self, b, state, coins, gen, world: Optional[PossibleWorld]
-    ) -> None:
+    def _forward_label_batch(self, b, state, world) -> None:
         """Eq. (4) labeling of ``b`` chunk worlds in two one-pass sweeps.
 
         The oracle runs a promote-and-requeue worklist, but the fixpoint
@@ -480,7 +422,7 @@ class RRCimGenerator(RRSetGenerator):
         and no promotion can ever invalidate an earlier level.
         """
         graph = self._graph
-        n = graph.num_nodes
+        n, m = graph.num_nodes, graph.num_edges
         out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
         # Dedupe like the oracle's label guard: a seed listed twice must
         # not expand (and flip coins for) its out-edges twice.
@@ -499,8 +441,8 @@ class RRCimGenerator(RRSetGenerator):
             reps, flat = expand_csr(out_indptr, fnode)
             if flat.size == 0:
                 break
-            live = self._edge_live_record(
-                fmember[reps], out_eid[flat], out_prob[flat], coins, gen, world
+            live = world.first(
+                fmember[reps] * m + out_eid[flat], out_prob[flat]
             )
             tkeys = fmember[reps[live]] * n + out_dst[flat[live]]
             if tkeys.size == 0:
@@ -511,7 +453,7 @@ class RRCimGenerator(RRSetGenerator):
             tkeys = tkeys[open_]
             if tkeys.size == 0:
                 break
-            cat = self._alpha_a_cat(state, tkeys, gen, world)
+            cat = self._alpha_a_cat(state, tkeys, world)
             state.or_(tkeys[cat == 3], _REJ_FLAG)  # alpha_A >= q_{A|B}: terminal
             low = tkeys[cat == 1]
             state.or_(low, np.uint8(LABEL_ADOPTED))
@@ -532,8 +474,8 @@ class RRCimGenerator(RRSetGenerator):
             reps, flat = expand_csr(out_indptr, fnode)
             if flat.size == 0:
                 break
-            live = self._edge_live_record(
-                fmember[reps], out_eid[flat], out_prob[flat], coins, gen, world
+            live = world.first(
+                fmember[reps] * m + out_eid[flat], out_prob[flat]
             )
             tkeys = fmember[reps[live]] * n + out_dst[flat[live]]
             if tkeys.size == 0:
@@ -544,14 +486,14 @@ class RRCimGenerator(RRSetGenerator):
             tkeys = tkeys[open_]
             if tkeys.size == 0:
                 break
-            cat = self._alpha_a_cat(state, tkeys, gen, world)
+            cat = self._alpha_a_cat(state, tkeys, world)
             state.or_(tkeys[cat == 3], _REJ_FLAG)
             newpot = tkeys[cat != 3]
             state.or_(newpot, np.uint8(LABEL_POTENTIAL))
             frontier = newpot
 
     def _primary_batch(
-        self, b, chunk_roots, state, coins, gen, world: Optional[PossibleWorld]
+        self, chunk_roots, state, world
     ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
         """Primary backward searches of all chunk roots in one sweep.
 
@@ -560,8 +502,9 @@ class RRCimGenerator(RRSetGenerator):
         starts, and Case-4 zig-zag candidates.
         """
         graph = self._graph
-        n = graph.num_nodes
+        n, m = graph.num_nodes, graph.num_edges
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
+        b = chunk_roots.size
         ids = np.arange(b, dtype=np.int64)
         root_keys = ids * n + chunk_roots
         root_lab = state.get(root_keys) & _LBL_MASK
@@ -577,13 +520,13 @@ class RRCimGenerator(RRSetGenerator):
             susp = frontier[lab == LABEL_SUSPENDED]
             if susp.size:
                 rr_frags.append(susp)  # Cases 1-2: suspended nodes join
-                ab = self._ab_diffusible_mask(state, susp, gen, world)
+                ab = self._ab_diffusible_mask(state, susp, world)
                 if ab.any():
                     sec_frags.append(susp[ab])  # Case 1 starts
             pot = frontier[lab == LABEL_POTENTIAL]
             grow = pot
             if pot.size:
-                ab = self._ab_diffusible_mask(state, pot, gen, world)
+                ab = self._ab_diffusible_mask(state, pot, world)
                 blocked = pot[~ab]
                 if blocked.size:
                     zig_frags.append(blocked)  # Case 4 candidates
@@ -594,9 +537,7 @@ class RRCimGenerator(RRSetGenerator):
             reps, flat = expand_csr(in_indptr, gnode)
             if flat.size == 0:
                 break
-            live = self._edge_live_batch(
-                gmember[reps], in_eid[flat], in_prob[flat], coins, gen, world
-            )
+            live = world.coin(gmember[reps] * m + in_eid[flat], in_prob[flat])
             tkeys = visited.mark_new(
                 gmember[reps[live]] * n + in_src[flat[live]]
             )
@@ -605,9 +546,7 @@ class RRCimGenerator(RRSetGenerator):
             frontier = tkeys
         return rr_frags, sec_frags, zig_frags
 
-    def _secondary_batch(
-        self, starts, state, coins, gen, world: Optional[PossibleWorld], b: int
-    ) -> list[np.ndarray]:
+    def _secondary_batch(self, b: int, starts, state, world) -> list[np.ndarray]:
         """Case-1 secondary searches as one multi-source reverse sweep.
 
         Valid as a union because exploration beyond a node is a function
@@ -616,7 +555,7 @@ class RRCimGenerator(RRSetGenerator):
         of the oracle and this multi-source sweep collect the same union.
         """
         graph = self._graph
-        n = graph.num_nodes
+        n, m = graph.num_nodes, graph.num_edges
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
         visited = make_state(b, n, state.kind)
         visited.mark(starts)
@@ -627,22 +566,18 @@ class RRCimGenerator(RRSetGenerator):
             reps, flat = expand_csr(in_indptr, fnode)
             if flat.size == 0:
                 break
-            live = self._edge_live_batch(
-                fmember[reps], in_eid[flat], in_prob[flat], coins, gen, world
-            )
+            live = world.coin(fmember[reps] * m + in_eid[flat], in_prob[flat])
             tkeys = visited.mark_new(
                 fmember[reps[live]] * n + in_src[flat[live]]
             )
             if tkeys.size == 0:
                 break
             collected.append(tkeys)  # every node that can push B joins
-            bd = self._b_diffusible_mask(state, tkeys, gen, world)
+            bd = self._b_diffusible_mask(state, tkeys, world)
             frontier = tkeys[bd]  # non-B-diffusible nodes join, don't expand
         return collected
 
-    def _zigzag_batch(
-        self, cand_keys, state, coins, gen, world: Optional[PossibleWorld]
-    ) -> np.ndarray:
+    def _zigzag_batch(self, cand_keys, state, world) -> np.ndarray:
         """Case-4 checks for all candidates, each as an independent lane.
 
         Lanes of the same chunk member share its memoised coins and
@@ -651,7 +586,7 @@ class RRCimGenerator(RRSetGenerator):
         of ``cand_keys`` whose zig-zag succeeds.
         """
         graph = self._graph
-        n = graph.num_nodes
+        n, m = graph.num_nodes, graph.num_edges
         out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
         passed = np.zeros(cand_keys.size, dtype=bool)
@@ -679,9 +614,8 @@ class RRCimGenerator(RRSetGenerator):
                 reps, flat = expand_csr(out_indptr, fnode)
                 if flat.size == 0:
                     break
-                live = self._edge_live_batch(
-                    lane_member[flane[reps]], out_eid[flat], out_prob[flat],
-                    coins, gen, world,
+                live = world.coin(
+                    lane_member[flane[reps]] * m + out_eid[flat], out_prob[flat]
                 )
                 lkeys = fvisited.mark_new(
                     flane[reps[live]] * n + out_dst[flat[live]]
@@ -690,7 +624,7 @@ class RRCimGenerator(RRSetGenerator):
                     break
                 tlane, tnode = np.divmod(lkeys, n)
                 mkeys = lane_member[tlane] * n + tnode
-                bd = self._b_diffusible_mask(state, mkeys, gen, world)
+                bd = self._b_diffusible_mask(state, mkeys, world)
                 any_forward[tlane[bd]] = True
                 lab = state.get(mkeys) & _LBL_MASK
                 sf_susp.mark(lkeys[bd & (lab == LABEL_SUSPENDED)])
@@ -707,9 +641,8 @@ class RRCimGenerator(RRSetGenerator):
                 reps, flat = expand_csr(in_indptr, bnode)
                 if flat.size == 0:
                     break
-                live = self._edge_live_batch(
-                    lane_member[blane[reps]], in_eid[flat], in_prob[flat],
-                    coins, gen, world,
+                live = world.coin(
+                    lane_member[blane[reps]] * m + in_eid[flat], in_prob[flat]
                 )
                 lkeys = bvisited.mark_new(
                     blane[reps[live]] * n + in_src[flat[live]]
@@ -725,7 +658,7 @@ class RRCimGenerator(RRSetGenerator):
                 )
                 if maybe.size:
                     relay[maybe] = self._ab_diffusible_mask(
-                        state, mkeys[maybe], gen, world
+                        state, mkeys[maybe], world
                     )
                 rkeys = lkeys[relay]
                 rlane = tlane[relay]
@@ -735,90 +668,23 @@ class RRCimGenerator(RRSetGenerator):
             passed[lo : lo + j] = verdict
         return cand_keys[passed]
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily — coins and
-        threshold categories materialise only for the edges and nodes the
-        sweeps touch, exactly like the oracle's
-        :class:`~repro.models.sources.WorldSource`.
-        """
-        gen = make_rng(rng)
-        graph = self._graph
-        n = graph.num_nodes
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
-        # The sweep engine budgets the chunk's state (uint8 byte-field
-        # plus bool visited per (member, node) dense); the coin memo
-        # grows with the A-region's degree per world, which is only
-        # known after sampling — start with a modest probe chunk and
-        # re-size from the observed coins-per-world (PR-1's adaptive
-        # chunking, here bounding the memo instead of a phase record).
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=2, max_members=4096
+    def _sweep_chunk(self, roots, world, backend):
+        b = roots.size
+        state = make_state(b, self._graph.num_nodes, backend, np.uint8)
+        self._forward_label_batch(b, state, world)
+        rr_frags, sec_frags, zig_frags = self._primary_batch(roots, state, world)
+        if sec_frags:
+            rr_frags.extend(
+                self._secondary_batch(b, np.concatenate(sec_frags), state, world)
+            )
+        if zig_frags:
+            zig = self._zigzag_batch(np.concatenate(zig_frags), state, world)
+            if zig.size:
+                rr_frags.append(zig)
+        world.measure_load()
+        if not rr_frags:
+            return np.empty(0, dtype=np.int32), np.zeros(b, dtype=np.int64)
+        member, node = np.divmod(
+            unique_keys(np.concatenate(rr_frags)), self._graph.num_nodes
         )
-        chunk = min(max_chunk, 128)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            state = make_state(b, n, backend, np.uint8)
-            coins = ChunkCoinMemo()
-            self._forward_label_batch(b, state, coins, gen, world)
-            rr_frags, sec_frags, zig_frags = self._primary_batch(
-                b, chunk_roots, state, coins, gen, world
-            )
-            if sec_frags:
-                rr_frags.extend(
-                    self._secondary_batch(
-                        np.concatenate(sec_frags), state, coins, gen, world, b
-                    )
-                )
-            if zig_frags:
-                zig = self._zigzag_batch(
-                    np.concatenate(zig_frags), state, coins, gen, world
-                )
-                if zig.size:
-                    rr_frags.append(zig)
-            if rr_frags:
-                mkeys = unique_keys(np.concatenate(rr_frags))
-                member, node = np.divmod(mkeys, n)
-                nodes = node.astype(np.int32)
-                lengths = np.bincount(member, minlength=b).astype(np.int64)
-            else:
-                nodes = np.empty(0, dtype=np.int32)
-                lengths = np.zeros(b, dtype=np.int64)
-            touch_edges = touch_lengths = None
-            if pool.track_touches and world is None:
-                # Even all-empty chunks carry real coin records (the
-                # forward labeling and reverse-A searches ran), so the
-                # extraction must not be skipped on the empty path.
-                touch_edges, touch_lengths = touches_from_keys(
-                    coins.touched_keys(), graph.num_edges, b
-                )
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
-            )
-            chunk = adaptive_chunk(coins.size, b, max_chunk)
-        return pool
+        return node.astype(np.int32), np.bincount(member, minlength=b)

@@ -12,12 +12,14 @@ Batched fast path
 :meth:`RRICGenerator.generate_batch` runs the same reverse search for a
 whole chunk of roots simultaneously: one level-synchronous sweep where
 each level gathers the in-edges of *every* chunk member's frontier in one
-CSR fan-out and flips all their coins in one bulk draw.  Each in-edge of a
-member is examined at most once (its head node is dequeued at most once),
-so fresh per-examination coins realise exactly the lazily-memoised
-per-world coins of the oracle path — the output distribution is identical,
-which ``tests/rrset/test_batch_equivalence.py`` checks against
-:meth:`generate` both on fixed worlds and in aggregate.
+CSR fan-out and reads all their coins from the chunk world in one bulk
+call.  Each in-edge of a member is examined at most once (its head node
+is dequeued at most once), so fresh per-examination coins
+(:meth:`~repro.rrset.sweep.LazyChunkWorld.fresh`) realise exactly the
+lazily-memoised per-world coins of the oracle path — the output
+distribution is identical, which ``tests/rrset/test_batch_equivalence.py``
+checks against :meth:`generate` both on fixed worlds and in aggregate.
+Chunks follow a fixed schedule of up to 4096 members.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.digraph import expand_csr
-from repro.models.possible_world import PossibleWorld
 from repro.models.sources import WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool
 from repro.rrset.sweep import flatten_members, make_state
 
 
@@ -66,68 +66,31 @@ class RRICGenerator(RRSetGenerator):
                     queue.append(w)
         return np.fromiter(visited, dtype=np.int64, count=len(visited))
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set draws its own independent edge coins.
-        """
-        gen = make_rng(rng)
+    def _sweep_chunk(self, roots, world, backend):
         graph = self._graph
-        n = graph.num_nodes
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
+        n, m = graph.num_nodes, graph.num_edges
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
-        # The sweep engine budgets per-chunk state (one bool per
-        # (member, node) here) and picks dense vs sparse keying by node
-        # count; larger chunks amortise the per-level numpy overhead.
-        backend = self.sweep.resolve_backend(n)
-        chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=1, max_members=4096
-        )
-        for start in range(0, roots.size, chunk):
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            ids = np.arange(b, dtype=np.int64)
-            # Flat (set, node) -> set * n + node keys index a 1D visited
-            # state: 1D gathers/scatters are markedly faster than 2D.
-            visited = make_state(b, n, backend)
-            visited.mark(ids * n + chunk_roots)
-            member_ids = [ids]
-            member_nodes = [chunk_roots]
-            frontier_set, frontier_node = ids, chunk_roots
-            while frontier_node.size:
-                reps, flat = expand_csr(in_indptr, frontier_node)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = gen.random(flat.size) < in_prob[flat]
-                else:
-                    live = world.live[in_eid[flat]]
-                # A node may be reached through several live edges in one
-                # level; mark_new keeps one copy per fresh (set, node).
-                key = visited.mark_new(
-                    frontier_set[reps[live]] * n + in_src[flat[live]]
-                )
-                if key.size == 0:
-                    break
-                frontier_set, frontier_node = np.divmod(key, n)
-                member_ids.append(frontier_set)
-                member_nodes.append(frontier_node)
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            pool.append_flat(nodes, lengths, roots=chunk_roots)
-        return pool
+        b = roots.size
+        ids = np.arange(b, dtype=np.int64)
+        # Flat (set, node) -> set * n + node keys index a 1D visited
+        # state: 1D gathers/scatters are markedly faster than 2D.
+        visited = make_state(b, n, backend)
+        visited.mark(ids * n + roots)
+        member_ids = [ids]
+        member_nodes = [roots]
+        frontier_set, frontier_node = ids, roots
+        while frontier_node.size:
+            reps, flat = expand_csr(in_indptr, frontier_node)
+            if flat.size == 0:
+                break
+            edge_set = frontier_set[reps]
+            live = world.fresh(edge_set * m + in_eid[flat], in_prob[flat])
+            # A node may be reached through several live edges in one
+            # level; mark_new keeps one copy per fresh (set, node).
+            key = visited.mark_new(edge_set[live] * n + in_src[flat[live]])
+            if key.size == 0:
+                break
+            frontier_set, frontier_node = np.divmod(key, n)
+            member_ids.append(frontier_set)
+            member_nodes.append(frontier_node)
+        return flatten_members(member_nodes, member_ids, b)

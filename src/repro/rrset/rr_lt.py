@@ -21,7 +21,8 @@ distribution) resolves every walk's selected in-neighbour simultaneously —
 the bulk counterpart of the oracle's per-step ``searchsorted``.  Walks
 retire on childless nodes, on the residual ``1 - sum w`` mass, or on a
 closed cycle, exactly like :meth:`generate`; frequency tests assert the
-distributions agree.
+distributions agree.  The uniform draws come straight from the chunk
+world's stream (``world.gen``), so RR-LT has no pinned-world mode.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.graph.digraph import DiGraph
 from repro.models.lt import _check_lt_instance
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool
 from repro.rrset.sweep import flatten_members, make_state
 
 
@@ -49,6 +49,9 @@ class RRLTGenerator(RRSetGenerator):
     # chain member, so the edges a set depends on are exactly the
     # in-edges of its members: repair needs only the root column.
     touch_mode = "implicit"
+    # One visited bitmap per (member, node); a walk step is cheap, so
+    # chunks go up to 65536 members on a fixed schedule.
+    _max_members = 65536
 
     def __init__(self, graph: DiGraph) -> None:
         super().__init__(graph)
@@ -97,76 +100,52 @@ class RRLTGenerator(RRSetGenerator):
             current = selected
         return np.asarray(chain, dtype=np.int64)
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring)."""
-        gen = make_rng(rng)
+    def _sweep_chunk(self, roots, world, backend):
         graph = self._graph
         n = graph.num_nodes
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
         in_indptr, in_src, _in_prob, _in_eid = graph.csr_in()
         cum = self._in_cumweights()
-        backend = self.sweep.resolve_backend(n)
-        chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=1, max_members=65536
-        )
-        for start in range(0, roots.size, chunk):
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            ids = np.arange(b, dtype=np.int64)
-            visited = make_state(b, n, backend)
-            visited.mark(ids * n + chunk_roots)
-            member_ids = [ids]
-            member_nodes = [chunk_roots]
-            mem, cur = ids, chunk_roots
-            while mem.size:
-                seg_lo = in_indptr[cur]
-                seg_hi = in_indptr[cur + 1]
-                walking = seg_hi > seg_lo  # childless nodes end their walk
-                if not walking.all():
-                    mem, cur = mem[walking], cur[walking]
-                    seg_lo, seg_hi = seg_lo[walking], seg_hi[walking]
-                if mem.size == 0:
-                    break
-                draw = gen.random(mem.size)
-                # Multi-range binary search: per walk, the first edge of
-                # its node's segment whose cumulative weight exceeds the
-                # draw (the oracle's searchsorted side="right").
-                lo = seg_lo.copy()
-                hi = seg_hi.copy()
+        b = roots.size
+        ids = np.arange(b, dtype=np.int64)
+        visited = make_state(b, n, backend)
+        visited.mark(ids * n + roots)
+        member_ids = [ids]
+        member_nodes = [roots]
+        mem, cur = ids, roots
+        while mem.size:
+            seg_lo = in_indptr[cur]
+            seg_hi = in_indptr[cur + 1]
+            walking = seg_hi > seg_lo  # childless nodes end their walk
+            if not walking.all():
+                mem, cur = mem[walking], cur[walking]
+                seg_lo, seg_hi = seg_lo[walking], seg_hi[walking]
+            if mem.size == 0:
+                break
+            draw = world.gen.random(mem.size)
+            # Multi-range binary search: per walk, the first edge of
+            # its node's segment whose cumulative weight exceeds the
+            # draw (the oracle's searchsorted side="right").
+            lo = seg_lo.copy()
+            hi = seg_hi.copy()
+            active = lo < hi
+            while active.any():
+                mid = (lo[active] + hi[active]) >> 1
+                go_right = cum[mid] <= draw[active]
+                lo[active] = np.where(go_right, mid + 1, lo[active])
+                hi[active] = np.where(go_right, hi[active], mid)
                 active = lo < hi
-                while active.any():
-                    mid = (lo[active] + hi[active]) >> 1
-                    go_right = cum[mid] <= draw[active]
-                    lo[active] = np.where(go_right, mid + 1, lo[active])
-                    hi[active] = np.where(go_right, hi[active], mid)
-                    active = lo < hi
-                chose = lo < seg_hi  # else the residual mass: nobody triggers
-                if not chose.any():
-                    break
-                mem = mem[chose]
-                selected = in_src[lo[chose]]
-                keys = mem * n + selected
-                fresh = ~visited.get(keys)  # a closed cycle ends the walk
-                mem, cur, keys = mem[fresh], selected[fresh], keys[fresh]
-                visited.mark(keys)
-                member_ids.append(mem)
-                member_nodes.append(cur)
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            pool.append_flat(nodes, lengths, roots=chunk_roots)
-        return pool
+            chose = lo < seg_hi  # else the residual mass: nobody triggers
+            if not chose.any():
+                break
+            mem = mem[chose]
+            selected = in_src[lo[chose]]
+            keys = mem * n + selected
+            fresh = ~visited.get(keys)  # a closed cycle ends the walk
+            mem, cur, keys = mem[fresh], selected[fresh], keys[fresh]
+            visited.mark(keys)
+            member_ids.append(mem)
+            member_nodes.append(cur)
+        return flatten_members(member_nodes, member_ids, b)
 
 
 def vanilla_lt_seeds(

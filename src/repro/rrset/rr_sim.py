@@ -22,13 +22,14 @@ Batched fast path
 
 :meth:`RRSimGenerator.generate_batch` processes a chunk of independent
 worlds at once, replacing the per-edge memoised :class:`WorldSource` calls
-with bulk vectorized draws: Phase II labels the B-adopted sets of *all*
+with bulk reads of the chunk world
+(:class:`~repro.rrset.sweep.LazyChunkWorld`): Phase II labels the B-adopted sets of *all*
 chunk worlds with one level-synchronous forward sweep (memoising each
 node's ``alpha_B`` outcome in a bit-flag state array), and Phase III runs
 the backward searches of all roots with one level-synchronous reverse
 sweep.  Edge coins flipped during Phase II are recorded into the chunk's
 :class:`~repro.rrset.sweep.ChunkCoinMemo`, which Phase III replays over
-its fresh draws, so an edge keeps a single coin across phases exactly as
+its fresh coins, so an edge keeps a single coin across phases exactly as
 the memoised oracle does.  Coins and thresholds materialise only for the
 edges and nodes the sweeps touch, so batch cost tracks total RR-set size
 rather than ``n + m``.  Output distribution is identical to
@@ -47,19 +48,10 @@ import numpy as np
 from repro.errors import RegimeError
 from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
-from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool
-from repro.rrset.sweep import (
-    ChunkCoinMemo,
-    adaptive_chunk,
-    flatten_members,
-    make_state,
-    touches_from_keys,
-    unique_keys,
-)
+from repro.rrset.sweep import flatten_members, make_state, unique_keys
 
 #: Bit flags of the batched Phase-II state matrix: the memoised
 #: ``alpha_B < q_B`` outcome (pass/fail) and final B-adoption.
@@ -140,25 +132,18 @@ def backward_search_a(
 
 
 def forward_label_b_batch(
-    graph: DiGraph,
-    q_b: float,
-    frontier: np.ndarray,
-    b_state,
-    flip,
-    gen: np.random.Generator,
-    world: Optional[PossibleWorld],
+    graph: DiGraph, q_b: float, frontier: np.ndarray, b_state, world, flip
 ) -> None:
     """Batched Phase II: forward B-labeling of a chunk's worlds at once.
 
     ``frontier`` holds the ``member * n + node`` keys of the B-seeds,
     which adopt unconditionally.  ``b_state`` is the int8 bit-flag sweep
     state over those keys — :data:`_B_PASS` / :data:`_B_FAIL` memoise
-    each node's lazily-drawn ``alpha_B < q_B`` outcome, :data:`_B_ADOPTED`
-    marks final B-adoption — packed so every level costs one gather and
-    one scatter.  ``flip(keys, probs, gen)`` realises the liveness of
-    ``member * m + edge`` keys in lazy worlds: a
-    :class:`~repro.rrset.sweep.ChunkCoinMemo`'s ``draw`` when no edge can
-    have been tested before, its ``lookup_or_draw`` otherwise.
+    each node's ``alpha_B < q_B`` outcome, read from ``world`` on first
+    test, and :data:`_B_ADOPTED` marks final B-adoption — packed so every
+    level costs one gather and one scatter.  ``flip`` is the chunk
+    world's coin reader: its ``first`` when no edge can have been tested
+    before, its ``coin`` otherwise.
     """
     n, m = graph.num_nodes, graph.num_edges
     out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
@@ -168,10 +153,7 @@ def forward_label_b_batch(
         reps, flat = expand_csr(out_indptr, fnode)
         if flat.size == 0:
             break
-        if world is None:
-            live = flip(fmember[reps] * m + out_eid[flat], out_prob[flat], gen)
-        else:
-            live = world.live[out_eid[flat]]
+        live = flip(fmember[reps] * m + out_eid[flat], out_prob[flat])
         key = fmember[reps[live]] * n + out_dst[flat[live]]
         if key.size == 0:
             break
@@ -181,16 +163,12 @@ def forward_label_b_batch(
         key, st = key[idle], st[idle]
         if key.size == 0:
             break
-        if world is None:
-            unknown = (st & (_B_PASS | _B_FAIL)) == 0
-            if unknown.any():
-                passes = gen.random(int(unknown.sum())) < q_b
-                st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
-            adopt = (st & _B_PASS) != 0
-            b_state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
-        else:
-            adopt = world.alpha_b[key % n] < q_b
-            b_state.put(key[adopt], _B_ADOPTED)
+        unknown = (st & (_B_PASS | _B_FAIL)) == 0
+        if unknown.any():
+            passes = world.alpha_b(key[unknown]) < q_b
+            st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
+        adopt = (st & _B_PASS) != 0
+        b_state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
         frontier = key[adopt]
 
 
@@ -200,6 +178,14 @@ class RRSimGenerator(RRSetGenerator):
     # Phase II flips coins far from the member set (B-region out-edges),
     # so repair needs the explicit per-member edge-touch record.
     touch_mode = "recorded"
+    # int8 B-state plus bool visited per (world, node) dense.  Phase II's
+    # per-level overhead is paid once per chunk, so RR-SIM wants the
+    # largest chunk memory affords — but the Phase-II coin memo grows
+    # with the B-region's out-degree per world, so chunks start at a
+    # probe size and adapt to the memo load measured after Phase II.
+    _state_bytes_per_node = 2
+    _max_members = 8192
+    _probe_chunk = 256
 
     def __init__(self, graph: DiGraph, gaps: GAP, seeds_b: Iterable[int]) -> None:
         super().__init__(graph)
@@ -234,122 +220,54 @@ class RRSimGenerator(RRSetGenerator):
         )
         return backward_search_a(self._graph, world, self._gaps, root, b_adopted)
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily — coins and
-        thresholds materialise only for the edges and nodes the sweeps
-        actually touch, exactly like the oracle's :class:`WorldSource`,
-        so batch cost tracks total RR-set size rather than ``n + m``.
-        """
-        gen = make_rng(rng)
+    def _sweep_chunk(self, roots, world, backend):
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
         gaps = self._gaps
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
-        track = pool.track_touches and world is None
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
         # Dedupe like the oracle's frontier guard: a B-seed listed twice
         # must not expand (and flip coins for) its out-edges twice.
         seeds = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
-        # The sweep engine budgets the chunk's state (int8 B-state plus
-        # bool visited per (world, node) dense).  Phase II's per-level
-        # sweep overhead is paid once per chunk, so RR-SIM wants the
-        # largest chunk memory affords — but the Phase-II coin memo
-        # grows with the B-region's out-degree per world, so chunks start
-        # at a probe size and adapt to the observed memo load.
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=2, max_members=8192
-        )
-        chunk = min(max_chunk, 256)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            ids = np.arange(b, dtype=np.int64)
-            # Phase II; each node expands at most once per world, so every
-            # coin is a first flip, recorded for Phase III to replay.
-            coins = ChunkCoinMemo()
-            b_state = make_state(b, n, backend, np.int8)
-            if seeds.size:
-                forward_label_b_batch(
-                    graph, gaps.q_b, (ids[:, None] * n + seeds).ravel(),
-                    b_state, coins.draw, gen, world,
-                )
-            chunk = adaptive_chunk(coins.size, b, max_chunk)
-            # Phase III: a dequeued node always joins its RR-set; the sweep
-            # expands past it only where alpha_A clears the NLA threshold
-            # (each node is dequeued at most once per world, so a fresh
-            # draw realises the memoised alpha_A exactly).
-            visited = make_state(b, n, backend)
-            visited.mark(ids * n + chunk_roots)
-            member_ids = [ids]
-            member_nodes = [chunk_roots]
-            touch_frags = [coins.touched_keys()] if track else []
-            frontier_set, frontier_node = ids, chunk_roots
-            while frontier_node.size:
-                b_adopted = (
-                    b_state.get(frontier_set * n + frontier_node) & _B_ADOPTED
-                ) != 0
-                threshold = np.where(b_adopted, gaps.q_a_given_b, gaps.q_a)
-                if world is None:
-                    grow = gen.random(frontier_node.size) < threshold
-                else:
-                    grow = world.alpha_a[frontier_node] < threshold
-                grow_set, grow_node = frontier_set[grow], frontier_node[grow]
-                if grow_node.size == 0:
-                    break
-                reps, flat = expand_csr(in_indptr, grow_node)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = gen.random(flat.size) < in_prob[flat]
-                    if coins.size or track:
-                        ekey = grow_set[reps] * m + in_eid[flat]
-                        # Reuse any coin Phase II already flipped for the
-                        # same (world, edge) pair.
-                        coins.replay(ekey, live)
-                        if track:
-                            touch_frags.append(ekey)
-                else:
-                    live = world.live[in_eid[flat]]
-                key = visited.mark_new(
-                    grow_set[reps[live]] * n + in_src[flat[live]]
-                )
-                if key.size == 0:
-                    break
-                frontier_set, frontier_node = np.divmod(key, n)
-                member_ids.append(frontier_set)
-                member_nodes.append(frontier_node)
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            touch_edges = touch_lengths = None
-            if track:
-                touch_edges, touch_lengths = touches_from_keys(
-                    unique_keys(np.concatenate(touch_frags)), m, b
-                )
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
+        b = roots.size
+        ids = np.arange(b, dtype=np.int64)
+        # Phase II; each node expands at most once per world, so every
+        # coin is a first flip, recorded for Phase III to replay.
+        b_state = make_state(b, n, backend, np.int8)
+        if seeds.size:
+            forward_label_b_batch(
+                graph, gaps.q_b, (ids[:, None] * n + seeds).ravel(),
+                b_state, world, world.first,
             )
-        return pool
+        world.measure_load()
+        # Phase III: a dequeued node always joins its RR-set; the sweep
+        # expands past it only where alpha_A clears the NLA threshold
+        # (each node is dequeued at most once per world, so one read
+        # realises the memoised alpha_A exactly).
+        visited = make_state(b, n, backend)
+        visited.mark(ids * n + roots)
+        member_ids = [ids]
+        member_nodes = [roots]
+        frontier_set, frontier_node = ids, roots
+        while frontier_node.size:
+            fkeys = frontier_set * n + frontier_node
+            b_adopted = (b_state.get(fkeys) & _B_ADOPTED) != 0
+            threshold = np.where(b_adopted, gaps.q_a_given_b, gaps.q_a)
+            grow = world.alpha_a(fkeys) < threshold
+            grow_set, grow_node = frontier_set[grow], frontier_node[grow]
+            if grow_node.size == 0:
+                break
+            reps, flat = expand_csr(in_indptr, grow_node)
+            if flat.size == 0:
+                break
+            # Fresh coins, replaying any Phase II already flipped for the
+            # same (world, edge) pair.
+            live = world.fresh(grow_set[reps] * m + in_eid[flat], in_prob[flat])
+            key = visited.mark_new(
+                grow_set[reps[live]] * n + in_src[flat[live]]
+            )
+            if key.size == 0:
+                break
+            frontier_set, frontier_node = np.divmod(key, n)
+            member_ids.append(frontier_set)
+            member_nodes.append(frontier_node)
+        return flatten_members(member_nodes, member_ids, b)

@@ -23,8 +23,9 @@ chunk roots (recording every edge coin it flips into a
 members whose reachable set actually touched a B-seed — a residual
 Phase-II forward sweep seeded from exactly the touched (member, seed)
 pairs, and finally RR-SIM's Phase-III backward sweep.  Phases II and III
-replay the earlier sweeps' coins through the shared memo (the batched
-counterpart of the oracle's memoised ``WorldSource``), so the output
+replay the earlier sweeps' coins through the chunk world's shared memo
+(:class:`~repro.rrset.sweep.LazyChunkWorld`, the batched counterpart of
+the oracle's memoised ``WorldSource``), so the output
 distribution matches :meth:`generate` exactly — and, by Lemma 7,
 RR-SIM's.  Chunks adapt to the observed coin-record size as in RR-SIM.
 """
@@ -38,11 +39,9 @@ import numpy as np
 
 from repro.graph.digraph import DiGraph, expand_csr
 from repro.models.gaps import GAP
-from repro.models.possible_world import PossibleWorld
 from repro.models.sources import WorldSource
 from repro.rng import SeedLike, make_rng
 from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool
 from repro.rrset.rr_sim import (
     _B_ADOPTED,
     backward_search_a,
@@ -50,13 +49,7 @@ from repro.rrset.rr_sim import (
     forward_label_b_adopted,
     forward_label_b_batch,
 )
-from repro.rrset.sweep import (
-    ChunkCoinMemo,
-    adaptive_chunk,
-    flatten_members,
-    make_state,
-    touches_from_keys,
-)
+from repro.rrset.sweep import flatten_members, make_state
 
 
 class RRSimPlusGenerator(RRSetGenerator):
@@ -65,6 +58,11 @@ class RRSimPlusGenerator(RRSetGenerator):
     # Every liveness coin flows through the chunk memo, whose key record
     # is exactly the per-member edge-touch signature repair needs.
     touch_mode = "recorded"
+    # Two bool visited maps plus the int8 B-state per (member, node)
+    # dense; chunks adapt to the memo load at the end of each chunk.
+    _state_bytes_per_node = 3
+    _max_members = 8192
+    _probe_chunk = 256
 
     def __init__(self, graph: DiGraph, gaps: GAP, seeds_b: Iterable[int]) -> None:
         super().__init__(graph)
@@ -123,137 +121,73 @@ class RRSimPlusGenerator(RRSetGenerator):
             b_adopted = set()
         return backward_search_a(self._graph, world, self._gaps, root, b_adopted)
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily through the chunk's
-        coin memo and B-state bit flags.
-        """
-        gen = make_rng(rng)
+    def _sweep_chunk(self, roots, world, backend):
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
         gaps = self._gaps
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
         seeds = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
-        # Three (member, node) states live per chunk dense: two bool
-        # visited maps plus the int8 B-state.
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=3, max_members=8192
-        )
-        chunk = min(max_chunk, 256)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            coins = ChunkCoinMemo()
-            ids = np.arange(b, dtype=np.int64)
-            root_keys = ids * n + chunk_roots
-            # Sweep 1: unconditional reverse reachability from each root
-            # (the oracle's T1), recording every liveness coin it flips —
-            # each target node is dequeued at most once, so each in-edge
-            # is a first flip.
-            visited = make_state(b, n, backend)
-            visited.mark(root_keys)
-            frontier = root_keys
-            while frontier.size:
-                fmember, fnode = np.divmod(frontier, n)
-                reps, flat = expand_csr(in_indptr, fnode)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = coins.draw(
-                        fmember[reps] * m + in_eid[flat], in_prob[flat], gen
-                    )
-                else:
-                    live = world.live[in_eid[flat]]
-                tkeys = visited.mark_new(
-                    fmember[reps[live]] * n + in_src[flat[live]]
-                )
-                if tkeys.size == 0:
-                    break
-                frontier = tkeys
-            # Residual forward labeling, only where T1 saw a B-seed (the
-            # point of Algorithm 3: skip EPT_F when B cannot matter).  Its
-            # coins go through the memo: sweep 1 already flipped those
-            # inside each member's reachable set, and re-testing them must
-            # replay them exactly as the oracle's memoised source does.
-            b_state = make_state(b, n, backend, np.int8)
-            if seeds.size:
-                seed_keys = ids[:, None] * n + seeds[None, :]
-                init = seed_keys[visited.get(seed_keys)]
-                if init.size:
-                    forward_label_b_batch(
-                        graph, gaps.q_b, init, b_state,
-                        coins.lookup_or_draw, gen, world,
-                    )
-            # Sweep 2: RR-SIM's Phase III; confined to T1 by construction
-            # (it expands along exactly the live in-edges sweep 1 already
-            # certified, replayed through the memo).
-            visited2 = make_state(b, n, backend)
-            visited2.mark(root_keys)
-            member_ids = [ids]
-            member_nodes = [chunk_roots]
-            fset, fnode = ids, chunk_roots
-            while fnode.size:
-                b_adopted = (b_state.get(fset * n + fnode) & _B_ADOPTED) != 0
-                threshold = np.where(b_adopted, gaps.q_a_given_b, gaps.q_a)
-                if world is None:
-                    # Each (member, node) is dequeued at most once, so a
-                    # fresh draw realises the memoised alpha_A exactly.
-                    grow = gen.random(fnode.size) < threshold
-                else:
-                    grow = world.alpha_a[fnode] < threshold
-                gset, gnode = fset[grow], fnode[grow]
-                if gnode.size == 0:
-                    break
-                reps, flat = expand_csr(in_indptr, gnode)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = coins.lookup_or_draw(
-                        gset[reps] * m + in_eid[flat], in_prob[flat], gen
-                    )
-                else:
-                    live = world.live[in_eid[flat]]
-                key = visited2.mark_new(
-                    gset[reps[live]] * n + in_src[flat[live]]
-                )
-                if key.size == 0:
-                    break
-                fset, fnode = np.divmod(key, n)
-                member_ids.append(fset)
-                member_nodes.append(fnode)
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            touch_edges = touch_lengths = None
-            if pool.track_touches and world is None:
-                touch_edges, touch_lengths = touches_from_keys(
-                    coins.touched_keys(), m, b
-                )
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
+        b = roots.size
+        ids = np.arange(b, dtype=np.int64)
+        root_keys = ids * n + roots
+        # Sweep 1: unconditional reverse reachability from each root
+        # (the oracle's T1), recording every liveness coin it flips —
+        # each target node is dequeued at most once, so each in-edge
+        # is a first flip.
+        visited = make_state(b, n, backend)
+        visited.mark(root_keys)
+        frontier = root_keys
+        while frontier.size:
+            fmember, fnode = np.divmod(frontier, n)
+            reps, flat = expand_csr(in_indptr, fnode)
+            if flat.size == 0:
+                break
+            live = world.first(fmember[reps] * m + in_eid[flat], in_prob[flat])
+            frontier = visited.mark_new(
+                fmember[reps[live]] * n + in_src[flat[live]]
             )
-            chunk = adaptive_chunk(coins.size, b, max_chunk)
-        return pool
+        # Residual forward labeling, only where T1 saw a B-seed (the
+        # point of Algorithm 3: skip EPT_F when B cannot matter).  Its
+        # coins go through the memo: sweep 1 already flipped those
+        # inside each member's reachable set, and re-testing them must
+        # replay them exactly as the oracle's memoised source does.
+        b_state = make_state(b, n, backend, np.int8)
+        if seeds.size:
+            seed_keys = ids[:, None] * n + seeds[None, :]
+            init = seed_keys[visited.get(seed_keys)]
+            if init.size:
+                forward_label_b_batch(
+                    graph, gaps.q_b, init, b_state, world, world.coin
+                )
+        # Sweep 2: RR-SIM's Phase III; confined to T1 by construction
+        # (it expands along exactly the live in-edges sweep 1 already
+        # certified, replayed through the memo).
+        visited2 = make_state(b, n, backend)
+        visited2.mark(root_keys)
+        member_ids = [ids]
+        member_nodes = [roots]
+        fset, fnode = ids, roots
+        while fnode.size:
+            fkeys = fset * n + fnode
+            b_adopted = (b_state.get(fkeys) & _B_ADOPTED) != 0
+            threshold = np.where(b_adopted, gaps.q_a_given_b, gaps.q_a)
+            # Each (member, node) is dequeued at most once, so one read
+            # realises the memoised alpha_A exactly.
+            grow = world.alpha_a(fkeys) < threshold
+            gset, gnode = fset[grow], fnode[grow]
+            if gnode.size == 0:
+                break
+            reps, flat = expand_csr(in_indptr, gnode)
+            if flat.size == 0:
+                break
+            live = world.coin(gset[reps] * m + in_eid[flat], in_prob[flat])
+            key = visited2.mark_new(
+                gset[reps[live]] * n + in_src[flat[live]]
+            )
+            if key.size == 0:
+                break
+            fset, fnode = np.divmod(key, n)
+            member_ids.append(fset)
+            member_nodes.append(fnode)
+        world.measure_load()
+        return flatten_members(member_nodes, member_ids, b)

@@ -35,6 +35,16 @@ node count (``auto``), centralizes the per-chunk state budget, and warns
 instead of silently degrading when a dense chunk collapses;
 :func:`adaptive_chunk` is the one rule that re-sizes chunks from the
 observed coin-memo load.
+
+Kernels read the possible worlds of a chunk — edge coins, ``alpha_A``,
+``alpha_B`` and the tie coin ``tau`` of §5.1 — through one interface
+with two implementations: :class:`LazyChunkWorld` draws them from the
+stream on demand (edge coins through the chunk's :class:`ChunkCoinMemo`)
+and :class:`PinnedChunkWorld` reads one eagerly-sampled world, the
+batched counterparts of :class:`~repro.models.sources.WorldSource` and
+:class:`~repro.models.possible_world.FrozenWorldSource`.  The chunk
+driver (:meth:`~repro.rrset.base.RRSetGenerator.generate_batch`) builds
+one per chunk.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ import numpy as np
 
 #: default per-chunk state budget (bytes) shared by every kernel — the
 #: one knob that replaces the per-kernel ``16 << 20`` / ``~64MB``
-#: constants.  Overridable via ``EngineConfig.chunk_state_bytes``.
+#: constants.
 DEFAULT_CHUNK_STATE_BYTES = 16 << 20
 
 #: node count at which ``auto`` switches from dense to sparse state.
@@ -71,14 +81,14 @@ class SweepConfig:
     ``chunk_state_bytes`` budgets the per-chunk dense state (all of a
     kernel's simultaneous ``chunk * num_nodes`` arrays together);
     ``state_backend`` picks the backend (``"auto"`` selects sparse at or
-    above ``sparse_nodes_threshold`` nodes).  Frozen and picklable, so
-    it rides along when :class:`~repro.parallel.ParallelEngine` ships
-    generator replicas to worker processes.
+    above :data:`DEFAULT_SPARSE_NODES_THRESHOLD` nodes).  Frozen and
+    picklable, so it rides along when
+    :class:`~repro.parallel.ParallelEngine` ships generator replicas to
+    worker processes.
     """
 
     chunk_state_bytes: int = DEFAULT_CHUNK_STATE_BYTES
     state_backend: str = "auto"
-    sparse_nodes_threshold: int = DEFAULT_SPARSE_NODES_THRESHOLD
     #: optional hard cap on members per chunk, below every kernel's own
     #: ``max_members``.  The chunk schedule determines the order coins
     #: are drawn in, so pinning both backends to one cap makes their
@@ -100,14 +110,6 @@ class SweepConfig:
                 f"state_backend must be one of {_BACKENDS}, got "
                 f"{self.state_backend!r}"
             )
-        if (
-            not isinstance(self.sparse_nodes_threshold, int)
-            or self.sparse_nodes_threshold < 1
-        ):
-            raise ValueError(
-                f"sparse_nodes_threshold must be a positive int, got "
-                f"{self.sparse_nodes_threshold!r}"
-            )
         if self.max_chunk_members is not None and (
             not isinstance(self.max_chunk_members, int)
             or self.max_chunk_members < 1
@@ -123,7 +125,7 @@ class SweepConfig:
             return self.state_backend
         return (
             "sparse"
-            if num_nodes >= self.sparse_nodes_threshold
+            if num_nodes >= DEFAULT_SPARSE_NODES_THRESHOLD
             else "dense"
         )
 
@@ -167,8 +169,7 @@ class SweepConfig:
         return chunk
 
 
-#: the config generators start with; sessions overwrite it from
-#: ``EngineConfig`` (see ``ComICSession._pool_entry``).
+#: the config every generator starts with (``generator.sweep``).
 DEFAULT_SWEEP = SweepConfig()
 
 #: Target entries of one chunk's coin memo.  The memo grows with the
@@ -590,3 +591,126 @@ class ChunkCoinMemo:
         via :func:`touches_from_keys` when delta repair is tracking.
         """
         return self._state.keys()
+
+
+# ----------------------------------------------------------------------
+# Chunk worlds
+# ----------------------------------------------------------------------
+class LazyChunkWorld:
+    """The possible worlds of one chunk, drawn on demand.
+
+    The batched counterpart of :class:`~repro.models.sources.WorldSource`:
+    every world variable a kernel reads (edge coins, ``alpha_A``,
+    ``alpha_B`` and the tie coin ``tau``) is addressed by its chunk key
+    — ``member * num_edges + edge`` for a coin, ``member * num_nodes +
+    node`` for a node variable — and drawn from ``gen`` when read.  Edge
+    coins go through the chunk's :class:`ChunkCoinMemo`: :meth:`first`
+    records first flips, :meth:`coin` replays or draws, and
+    :meth:`fresh` draws unrecorded coins that any memoised coin
+    overrides.  Node variables are fresh draws; a kernel that may read
+    one twice memoises it in its own sweep state.  Each method draws in
+    a fixed order and count, so a kernel's output is a function of
+    ``gen``'s stream and the chunk schedule alone.
+    """
+
+    __slots__ = ("gen", "memo", "load", "_loose")
+
+    def __init__(self, gen: np.random.Generator, track: bool) -> None:
+        self.gen = gen
+        self.memo = ChunkCoinMemo()
+        #: memo size the kernel measured for :func:`adaptive_chunk`.
+        self.load = 0
+        # fresh coins' keys, kept for the touch record when tracking
+        self._loose: Optional[list[np.ndarray]] = [] if track else None
+
+    def first(self, keys: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """Liveness of coins no sweep of this chunk has flipped yet."""
+        return self.memo.draw(keys, probs, self.gen)
+
+    def coin(self, keys: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """Memoised liveness: replay known keys, draw and record the rest."""
+        return self.memo.lookup_or_draw(keys, probs, self.gen)
+
+    def fresh(self, keys: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """Liveness of coins this sweep tests at most once: fresh draws,
+        overridden where an earlier sweep memoised the coin; records
+        nothing in the memo."""
+        live = self.gen.random(keys.size) < probs
+        if self.memo.size:
+            self.memo.replay(keys, live)
+        if self._loose is not None:
+            self._loose.append(keys)
+        return live
+
+    def alpha_a(self, keys: np.ndarray) -> np.ndarray:
+        """``alpha_A`` (as :meth:`alpha_b`, ``alpha_B``) of (member, node)
+        keys, each read once: fresh uniform draws."""
+        return self.gen.random(keys.size)
+
+    alpha_b = alpha_a
+
+    def tau_a_first(self, keys: np.ndarray) -> np.ndarray:
+        """The fair tie coin ``tau`` of (member, node) keys: A first?"""
+        return self.gen.random(keys.size) < 0.5
+
+    def measure_load(self) -> None:
+        """Note the memo size that sizes the next chunk."""
+        self.load = self.memo.size
+
+    def touched_keys(self) -> np.ndarray:
+        """Sorted distinct ``member * num_edges + edge`` keys of every
+        coin the chunk flipped (memoised and fresh)."""
+        keys = self.memo.touched_keys()
+        if self._loose:
+            keys = unique_keys(np.concatenate([keys, *self._loose]))
+        return keys
+
+
+class PinnedChunkWorld:
+    """One eagerly-sampled possible world shared by every chunk member.
+
+    The batched counterpart of
+    :class:`~repro.models.possible_world.FrozenWorldSource`, with the
+    interface of :class:`LazyChunkWorld`: each variable is read from the
+    :class:`~repro.models.possible_world.PossibleWorld` at ``key %
+    num_edges`` (coins) or ``key % num_nodes`` (node variables), so the
+    output depends neither on an RNG nor on the chunk schedule.  It
+    has no stream (:attr:`gen`) and no touch record.
+    """
+
+    __slots__ = ("_world", "_n", "_m")
+
+    #: the schedule never adapts to a pinned world's (empty) memo.
+    load = 0
+
+    def __init__(self, world, num_nodes: int, num_edges: int) -> None:
+        self._world = world
+        self._n = num_nodes
+        self._m = num_edges
+
+    @property
+    def gen(self) -> np.random.Generator:
+        raise TypeError(
+            "this generator draws from a stream and has no pinned-world mode"
+        )
+
+    def first(self, keys: np.ndarray, probs=None) -> np.ndarray:
+        """Liveness of the world's edges at ``keys % num_edges``."""
+        return self._world.live[keys % self._m]
+
+    coin = fresh = first
+
+    def alpha_a(self, keys: np.ndarray) -> np.ndarray:
+        return self._world.alpha_a[keys % self._n]
+
+    def alpha_b(self, keys: np.ndarray) -> np.ndarray:
+        return self._world.alpha_b[keys % self._n]
+
+    def tau_a_first(self, keys: np.ndarray) -> np.ndarray:
+        return self._world.tau_a_first[keys % self._n]
+
+    def measure_load(self) -> None:
+        pass
+
+    def touched_keys(self) -> None:
+        return None

@@ -12,6 +12,7 @@ from repro.api.session import _GENERATORS, _make_generator
 from repro.errors import QueryError, RegimeError
 from repro.graph import star_digraph
 from repro.models import GAP
+from repro.rrset.sweep import DEFAULT_SWEEP
 from repro.service import ComICServer
 
 
@@ -40,8 +41,7 @@ class TestErrorPaths:
     def test_unknown_regime(self):
         with pytest.raises(QueryError, match="unknown RR-set regime"):
             _make_generator(
-                "rr-bogus", star_digraph(4), GAP(0.3, 0.8, 0.5, 0.5), (),
-                EngineConfig(),
+                "rr-bogus", star_digraph(4), GAP(0.3, 0.8, 0.5, 0.5), ()
             )
 
     def test_unknown_regime_via_session(self):
@@ -72,7 +72,6 @@ class TestErrorPaths:
 
 class TestTables:
     def test_every_regime_builds_a_configured_generator(self):
-        config = EngineConfig()
         # Each regime's own GAP conditions: Q+ for RR-SIM(+), q_{B|A} = 1
         # for RR-CIM, one-way competition for RR-Block.
         q_plus = GAP(0.3, 0.8, 0.5, 0.5)
@@ -85,8 +84,6 @@ class TestTables:
         }
         assert set(regime_gaps) == set(_GENERATORS)
         for regime, gaps in regime_gaps.items():
-            generator = _make_generator(
-                regime, star_digraph(4), gaps, (0,), config
-            )
+            generator = _make_generator(regime, star_digraph(4), gaps, (0,))
             assert generator.graph.num_nodes == 4
-            assert generator.sweep == config.sweep_config()
+            assert generator.sweep == DEFAULT_SWEEP

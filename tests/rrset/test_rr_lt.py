@@ -6,6 +6,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import DiGraph, cycle_digraph, path_digraph, star_digraph
 from repro.models import normalize_lt_weights, simulate_lt
+from repro.models.possible_world import sample_possible_world
 from repro.rng import make_rng
 from repro.rrset import RRLTGenerator, TIMOptions, vanilla_lt_seeds
 
@@ -60,6 +61,14 @@ class TestGeneration:
         # The reverse walk visits each cycle node at most once.
         assert rr.size <= 5
         assert len(set(rr.tolist())) == rr.size
+
+    def test_batch_has_no_pinned_world_mode(self, weighted):
+        # The walk draws raw uniforms, which a fixed world does not hold.
+        world = sample_possible_world(weighted, rng=0)
+        with pytest.raises(TypeError, match="pinned-world"):
+            RRLTGenerator(weighted).generate_batch(
+                0, roots=np.arange(3), world=world
+            )
 
 
 class TestActivationEquivalence:

@@ -23,8 +23,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import EngineConfig
-from repro.errors import QueryError
 from repro.graph.generators import power_law_digraph
 from repro.models import GAP
 from repro.models.lt import normalize_lt_weights
@@ -73,7 +71,7 @@ class TestSweepConfig:
             {"chunk_state_bytes": 0},
             {"chunk_state_bytes": 2.5},
             {"state_backend": "mmap"},
-            {"sparse_nodes_threshold": 0},
+            {"state_backend": None},
             {"max_chunk_members": 0},
             {"max_chunk_members": "many"},
         ],
@@ -316,25 +314,6 @@ class TestBackendKernelParity:
 
 
 class TestEngineConfigIntegration:
-    def test_round_trip_of_sweep_fields(self):
-        cfg = EngineConfig(chunk_state_bytes=1 << 22, sweep_backend="sparse")
-        restored = EngineConfig.from_dict(cfg.to_dict())
-        assert restored.chunk_state_bytes == 1 << 22
-        assert restored.sweep_backend == "sparse"
-
-    def test_sweep_config_projection(self):
-        cfg = EngineConfig(chunk_state_bytes=1 << 22, sweep_backend="sparse")
-        sweep = cfg.sweep_config()
-        assert isinstance(sweep, SweepConfig)
-        assert sweep.chunk_state_bytes == 1 << 22
-        assert sweep.state_backend == "sparse"
-
-    def test_bad_sweep_fields_raise_query_error(self):
-        with pytest.raises(QueryError):
-            EngineConfig(sweep_backend="mmap")
-        with pytest.raises(QueryError):
-            EngineConfig(chunk_state_bytes=0)
-
     def test_sweep_config_is_frozen_and_picklable(self):
         import pickle
 
